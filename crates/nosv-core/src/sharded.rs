@@ -279,10 +279,10 @@ mod tests {
         id: u64,
         affinity: Affinity,
     ) -> usize {
-        submit_from(core, store, id, affinity, 0)
+        submit_as(core, store, id, affinity, 0)
     }
 
-    fn submit_from(
+    fn submit_as(
         core: &mut ShardedCore,
         store: &mut HeapStore<u64>,
         id: u64,
@@ -312,12 +312,12 @@ mod tests {
         let (mut core, mut store, _) = setup(4, 2, 2);
         core.register_proc(0, 10);
         let shards: Vec<usize> = (0..4)
-            .map(|id| submit_from(&mut core, &mut store, id, Affinity::None, id))
+            .map(|id| submit_as(&mut core, &mut store, id, Affinity::None, id))
             .collect();
         assert_eq!(shards, vec![0, 1, 0, 1], "submitter id % shards");
         // One submitter never scatters across shards.
         for id in 4..8 {
-            assert_eq!(submit_from(&mut core, &mut store, id, Affinity::None, 1), 1);
+            assert_eq!(submit_as(&mut core, &mut store, id, Affinity::None, 1), 1);
         }
         core.assert_masks_consistent(&mut store);
     }
@@ -379,8 +379,8 @@ mod tests {
         // Two unconstrained tasks from distinct submitters: task 0 lands
         // in shard 0, task 1 in shard 1. CPU 0 picks its home task, then
         // cross-steals shard 1's.
-        submit_from(&mut core, &mut store, 0, Affinity::None, 0);
-        submit_from(&mut core, &mut store, 1, Affinity::None, 1);
+        submit_as(&mut core, &mut store, 0, Affinity::None, 0);
+        submit_as(&mut core, &mut store, 1, Affinity::None, 1);
         let p0 = core.pick(&mut store, &policy, 0, 0).unwrap();
         assert!(matches!(p0.source, PickSource::Process { .. }));
         assert_eq!(store.remove(p0.task), 0);
@@ -468,7 +468,7 @@ mod tests {
         let (mut core, mut store, policy) = setup(4, 2, 2);
         core.register_proc(0, 10);
         for id in 0..4 {
-            submit_from(&mut core, &mut store, id, Affinity::None, id);
+            submit_as(&mut core, &mut store, id, Affinity::None, id);
         }
         assert_eq!(core.proc_ready_count(0), 4);
         while let Some(p) = core.pick(&mut store, &policy, 1, 0) {

@@ -61,6 +61,16 @@ impl<T> Shoff<T> {
     pub const fn byte_add(self, bytes: u64) -> Shoff<T> {
         Shoff::from_raw(self.raw + bytes)
     }
+
+    /// Views a slice of offsets as their raw `u64` values — the payload
+    /// form the submission rings carry — without copying.
+    #[inline]
+    pub fn slice_as_raw(offsets: &[Shoff<T>]) -> &[u64] {
+        // SAFETY: `Shoff<T>` is `#[repr(transparent)]` over its `u64` (the
+        // marker is a zero-sized `PhantomData`), so both element types have
+        // the same size, alignment and validity; the borrow carries over.
+        unsafe { std::slice::from_raw_parts(offsets.as_ptr().cast::<u64>(), offsets.len()) }
+    }
 }
 
 impl<T> Clone for Shoff<T> {
@@ -183,6 +193,17 @@ mod tests {
     fn byte_add_displaces() {
         let o = Shoff::<u8>::from_raw(100);
         assert_eq!(o.byte_add(28).raw(), 128);
+    }
+
+    #[test]
+    fn slice_as_raw_views_the_same_words() {
+        let offs = [
+            Shoff::<u32>::from_raw(64),
+            Shoff::NULL,
+            Shoff::from_raw(4096),
+        ];
+        assert_eq!(Shoff::slice_as_raw(&offs), &[64, 0, 4096]);
+        assert!(Shoff::<u32>::slice_as_raw(&[]).is_empty());
     }
 
     #[test]

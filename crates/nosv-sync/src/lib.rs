@@ -15,7 +15,6 @@
 //! reuses:
 //!
 //! * [`TicketLock`] — a classic FIFO ticket spinlock (baseline for benches).
-//! * [`SpinLock`] — a test-and-test-and-set lock with exponential backoff.
 //! * [`RawSpinMutex`] — a plain-old-data spinlock suitable for placement
 //!   inside a shared-memory segment (no host pointers, fixed layout).
 //! * [`IdleGate`] — an event-counted gate for idle threads: wait-free
@@ -43,7 +42,6 @@ mod idle_gate;
 mod mutex;
 mod padded;
 mod raw;
-mod spin;
 mod splitmix;
 mod ticket;
 
@@ -54,6 +52,5 @@ pub use idle_gate::IdleGate;
 pub use mutex::{Condvar, Mutex, MutexGuard};
 pub use padded::Padded;
 pub use raw::RawSpinMutex;
-pub use spin::{SpinLock, SpinLockGuard};
 pub use splitmix::SplitMix64;
 pub use ticket::{TicketLock, TicketLockGuard};

@@ -22,7 +22,8 @@ pub struct TicketLock<T: ?Sized> {
     value: UnsafeCell<T>,
 }
 
-// SAFETY: standard lock reasoning; see `SpinLock`.
+// SAFETY: the lock provides the necessary exclusion; `T: Send` is enough
+// because only one thread accesses the value at a time.
 unsafe impl<T: ?Sized + Send> Send for TicketLock<T> {}
 unsafe impl<T: ?Sized + Send> Sync for TicketLock<T> {}
 

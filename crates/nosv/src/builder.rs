@@ -21,6 +21,23 @@ use crate::runtime::Runtime;
 /// the paper's 20 ms quantum, a 32 MiB segment, no trace sink, and the
 /// canonical [`QuantumPolicy`].
 ///
+/// The thirteen knobs, by what they shape:
+///
+/// * topology — [`cpus`](Self::cpus), [`numa`](Self::numa);
+/// * the process quantum — [`quantum_ns`](Self::quantum_ns) /
+///   [`quantum`](Self::quantum), or a whole custom
+///   [`policy`](Self::policy);
+/// * the shared segment — [`segment_size`](Self::segment_size),
+///   [`segment_name`](Self::segment_name) (OS-shared, joinable by guest
+///   processes);
+/// * the submission path — [`submit_ring`](Self::submit_ring),
+///   [`submit_lanes`](Self::submit_lanes),
+///   [`sched_shards`](Self::sched_shards);
+/// * the guest reactor (named segments only) —
+///   [`reclaim_tick`](Self::reclaim_tick),
+///   [`join_timeout`](Self::join_timeout);
+/// * observability — [`sink`](Self::sink).
+///
 /// ```
 /// use std::sync::Arc;
 /// use nosv::prelude::*;
@@ -94,13 +111,12 @@ impl RuntimeBuilder {
     /// central scheduler through lock-free queues, drained in batches by
     /// the transient server).
     ///
-    /// Must be zero or a power of two, at most 65536. The default is
-    /// [`crate::DEFAULT_SUBMIT_RING_CAP`]. `0` disables the rings: every
-    /// submission then takes the locked path, which is the pre-ring
-    /// behaviour the `sched_throughput` bench uses as its baseline. A full
-    /// ring is not an error — overflowing submissions fall back to the
-    /// locked path, which may reorder them relative to ring contents (the
-    /// priority order *within* each queue is unaffected).
+    /// Must be a power of two, at most 65536. The default is
+    /// [`crate::DEFAULT_SUBMIT_RING_CAP`]. A full ring is not an error —
+    /// overflowing submissions are enqueued under the scheduler lock
+    /// (counted in [`crate::RuntimeStats::locked_submits`]), which may
+    /// reorder them relative to ring contents (the priority order
+    /// *within* each queue is unaffected).
     pub fn submit_ring(mut self, capacity: usize) -> Self {
         self.config.submit_ring_cap = capacity;
         self
@@ -141,20 +157,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables or disables idle-CPU direct dispatch (default: enabled).
-    ///
-    /// When enabled, a submission that finds a CPU idle and *armed* in
-    /// the claim table hands its task straight through that CPU's handoff
-    /// slot — one CAS plus one wake, bypassing rings, queues and locks
-    /// entirely. Unconstrained and matching-affinity tasks qualify;
-    /// everything else (and every submission when no CPU is armed) takes
-    /// the ring path. Disabling forces all submissions through the
-    /// ring/locked paths (the benchmark baseline).
-    pub fn direct_dispatch(mut self, enabled: bool) -> Self {
-        self.config.direct_dispatch = enabled;
-        self
-    }
-
     /// Backs the segment with a *named* OS shared-memory object
     /// (`memfd_create`, falling back to `shm_open`) instead of the
     /// in-process heap, so foreign OS processes can co-execute by calling
@@ -162,9 +164,10 @@ impl RuntimeBuilder {
     /// model (§3.1). The runtime also starts a reactor thread that
     /// acknowledges join handshakes and reclaims tasks of crashed guests.
     ///
-    /// Requires OS backing ([`nosv_shmem::os_backing_available`]) and
-    /// enabled submission rings; [`RuntimeBuilder::build`] fails with
-    /// [`NosvError::Segment`] / [`NosvError::InvalidConfig`] otherwise.
+    /// Requires OS backing ([`nosv_shmem::os_backing_available`]);
+    /// [`RuntimeBuilder::build`] fails with [`NosvError::Segment`]
+    /// otherwise. A guest is declared dead — and its queued tasks
+    /// reclaimed — as soon as its OS pid is gone.
     pub fn segment_name(mut self, name: impl Into<String>) -> Self {
         self.config.segment_name = Some(name.into());
         self
@@ -174,16 +177,6 @@ impl RuntimeBuilder {
     /// Only meaningful together with [`RuntimeBuilder::segment_name`].
     pub fn reclaim_tick(mut self, tick: Duration) -> Self {
         self.config.reclaim_tick_ns = u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// Extra grace period before a non-heartbeating guest is declared
-    /// dead and its queued tasks reclaimed. The default (zero) trusts the
-    /// OS pid probe alone: reclaim happens as soon as the guest's process
-    /// is gone. Only meaningful together with
-    /// [`RuntimeBuilder::segment_name`].
-    pub fn reclaim_grace(mut self, grace: Duration) -> Self {
-        self.config.reclaim_grace_ns = u64::try_from(grace.as_nanos()).unwrap_or(u64::MAX);
         self
     }
 
@@ -201,25 +194,6 @@ impl RuntimeBuilder {
     /// with [`RuntimeBuilder::segment_name`].
     pub fn join_timeout(mut self, timeout: Duration) -> Self {
         self.config.join_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// How long a guest's [`crate::GuestProcess::submit`] retries full
-    /// rings before reporting [`NosvError::WaitTimeout`] (default 5 s).
-    /// Published to guests; overridable per guest via
-    /// `NOSV_IPC_SUBMIT_TIMEOUT_MS`. Must be positive and at most ten
-    /// minutes.
-    pub fn submit_timeout(mut self, timeout: Duration) -> Self {
-        self.config.submit_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// How long a guest's clean [`crate::GuestProcess::detach`] waits for
-    /// this host to drain and release its slot (default 5 s). Published
-    /// to guests; overridable per guest via `NOSV_IPC_DETACH_TIMEOUT_MS`.
-    /// Must be positive and at most ten minutes.
-    pub fn detach_timeout(mut self, timeout: Duration) -> Self {
-        self.config.detach_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
         self
     }
 
@@ -287,13 +261,9 @@ impl std::fmt::Debug for RuntimeBuilder {
             .field("submit_ring_cap", &self.config.submit_ring_cap)
             .field("submit_lanes", &self.config.submit_lanes)
             .field("sched_shards", &self.config.sched_shards)
-            .field("direct_dispatch", &self.config.direct_dispatch)
             .field("segment_name", &self.config.segment_name)
             .field("reclaim_tick_ns", &self.config.reclaim_tick_ns)
-            .field("reclaim_grace_ns", &self.config.reclaim_grace_ns)
             .field("join_timeout_ns", &self.config.join_timeout_ns)
-            .field("submit_timeout_ns", &self.config.submit_timeout_ns)
-            .field("detach_timeout_ns", &self.config.detach_timeout_ns)
             .field("sink", &self.sink.is_some())
             .field("custom_policy", &self.policy.is_some())
             .finish()

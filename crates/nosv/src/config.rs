@@ -36,15 +36,14 @@ pub const DEFAULT_SUBMIT_LANES: usize = 4;
 /// costing one wakeup of a sleeping thread per period.
 pub(crate) const DEFAULT_RECLAIM_TICK_NS: u64 = 2_000_000;
 
-/// Default guest IPC timeout (join handshake, full-ring submit retry,
-/// clean detach): 5 s — generous next to the ~2 ms reactor tick that
-/// normally resolves each wait, short enough that a wedged host turns
-/// into an error instead of a hang.
-pub(crate) const DEFAULT_IPC_TIMEOUT_NS: u64 = 5_000_000_000;
+/// Default join-handshake timeout: 5 s — generous next to the ~2 ms
+/// reactor tick that normally resolves the wait, short enough that a
+/// wedged host turns into an error instead of a hang.
+pub(crate) const DEFAULT_JOIN_TIMEOUT_NS: u64 = 5_000_000_000;
 
-/// IPC timeouts beyond this (ten minutes) are rejected as unit mistakes,
+/// Join timeouts beyond this (ten minutes) are rejected as unit mistakes,
 /// same rationale as [`MAX_QUANTUM_NS`].
-pub(crate) const MAX_IPC_TIMEOUT_NS: u64 = 600_000_000_000;
+pub(crate) const MAX_JOIN_TIMEOUT_NS: u64 = 600_000_000_000;
 
 /// Configuration of a [`crate::Runtime`]. Built only by
 /// [`crate::RuntimeBuilder`].
@@ -62,9 +61,8 @@ pub(crate) struct NosvConfig {
     pub quantum_ns: u64,
     /// Size of the shared segment in bytes.
     pub segment_size: usize,
-    /// Capacity (entries) of each process's lock-free submission ring;
-    /// `0` disables the rings and routes every submission through the
-    /// locked path (the pre-ring behaviour, kept for benchmarking).
+    /// Capacity (entries per lane) of each process's lock-free submission
+    /// ring; a power of two.
     pub submit_ring_cap: usize,
     /// Submission lanes per (process × shard): each producer thread hashes
     /// to its own lane so concurrent submitters stop contending on one ring
@@ -73,10 +71,6 @@ pub(crate) struct NosvConfig {
     /// Number of scheduler shards; `0` = one per NUMA node (the
     /// default), `1` = the original single-lock scheduler.
     pub sched_shards: usize,
-    /// Whether submissions may hand tasks straight to idle CPUs through
-    /// the claim table (`true` by default; `false` forces every
-    /// submission through the ring/locked paths, kept for benchmarking).
-    pub direct_dispatch: bool,
     /// When set, the segment is backed by a *named* OS shared-memory
     /// object ([`nosv_shmem::ShmSegment::create_named`]) so foreign OS
     /// processes can [`crate::Runtime::join`] it; `None` (the default)
@@ -85,10 +79,6 @@ pub(crate) struct NosvConfig {
     /// Period of the host reactor's liveness/handshake sweep in
     /// nanoseconds (only meaningful with `segment_name`).
     pub reclaim_tick_ns: u64,
-    /// Extra grace period before a non-responsive guest is declared dead.
-    /// `0` (the default) reclaims as soon as the guest's OS pid is gone —
-    /// the pid probe alone decides.
-    pub reclaim_grace_ns: u64,
     /// How long a guest's [`crate::Runtime::join`] waits for the host to
     /// publish its geometry and acknowledge the handshake. Published to
     /// guests through the geometry block; it also bounds how long the
@@ -96,12 +86,6 @@ pub(crate) struct NosvConfig {
     /// that died between claiming a slot and publishing its pid) before
     /// repairing it.
     pub join_timeout_ns: u64,
-    /// How long a guest's submit retries full rings before reporting
-    /// [`crate::NosvError::WaitTimeout`]. Published to guests.
-    pub submit_timeout_ns: u64,
-    /// How long a guest's clean detach waits for the host to drain and
-    /// release its slot. Published to guests.
-    pub detach_timeout_ns: u64,
 }
 
 impl Default for NosvConfig {
@@ -114,13 +98,9 @@ impl Default for NosvConfig {
             submit_ring_cap: DEFAULT_SUBMIT_RING_CAP,
             submit_lanes: 0,
             sched_shards: 0,
-            direct_dispatch: true,
             segment_name: None,
             reclaim_tick_ns: DEFAULT_RECLAIM_TICK_NS,
-            reclaim_grace_ns: 0,
-            join_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
-            submit_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
-            detach_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
+            join_timeout_ns: DEFAULT_JOIN_TIMEOUT_NS,
         }
     }
 }
@@ -179,8 +159,8 @@ impl NosvConfig {
         if self.segment_size < MIN_SEGMENT_SIZE {
             return fail("segment smaller than 1 MiB cannot hold the scheduler");
         }
-        if self.submit_ring_cap != 0 && !self.submit_ring_cap.is_power_of_two() {
-            return fail("submission ring capacity must be zero or a power of two");
+        if !self.submit_ring_cap.is_power_of_two() {
+            return fail("submission ring capacity must be a power of two");
         }
         if self.submit_ring_cap > MAX_SUBMIT_RING_CAP {
             return fail("submission ring capacity above 65536 entries");
@@ -197,23 +177,15 @@ impl NosvConfig {
         if self.sched_shards > self.cpus {
             return fail("more scheduler shards than CPUs");
         }
-        let ipc_timeouts = [
-            self.join_timeout_ns,
-            self.submit_timeout_ns,
-            self.detach_timeout_ns,
-        ];
-        if ipc_timeouts.contains(&0) {
-            return fail("IPC timeouts (join/submit/detach) must be positive");
+        if self.join_timeout_ns == 0 {
+            return fail("join timeout must be positive");
         }
-        if ipc_timeouts.iter().any(|&ns| ns > MAX_IPC_TIMEOUT_NS) {
-            return fail("IPC timeout above ten minutes; check the time unit");
+        if self.join_timeout_ns > MAX_JOIN_TIMEOUT_NS {
+            return fail("join timeout above ten minutes; check the time unit");
         }
         if let Some(name) = &self.segment_name {
             if name.is_empty() {
                 return fail("segment name must be non-empty");
-            }
-            if self.submit_ring_cap == 0 {
-                return fail("named segments need submission rings (guests submit through them)");
             }
             if self.reclaim_tick_ns == 0 {
                 return fail("reclaim tick must be positive for named segments");
@@ -311,6 +283,10 @@ mod tests {
                 ..Default::default()
             },
             NosvConfig {
+                submit_ring_cap: 0, // rings cannot be disabled
+                ..Default::default()
+            },
+            NosvConfig {
                 submit_ring_cap: 48, // not a power of two
                 ..Default::default()
             },
@@ -340,11 +316,7 @@ mod tests {
                 ..Default::default()
             },
             NosvConfig {
-                submit_timeout_ns: u64::MAX, // unit mistake
-                ..Default::default()
-            },
-            NosvConfig {
-                detach_timeout_ns: 0,
+                join_timeout_ns: u64::MAX, // unit mistake
                 ..Default::default()
             },
         ];

@@ -15,7 +15,7 @@ use crate::config::NosvConfig;
 use crate::error::NosvError;
 use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind, TraceSink, NO_CPU};
 use crate::policy::SchedPolicy;
-use crate::scheduler::{producer_tag, GuestMeta, Scheduler, SchedulerSnapshot, SubmitPath};
+use crate::scheduler::{producer_tag, BatchSubmit, GuestMeta, Scheduler, SchedulerSnapshot};
 use crate::stats::{Counters, RuntimeStats};
 use crate::task::Affinity;
 use crate::task::{
@@ -273,30 +273,35 @@ impl RuntimeInner {
             d.pid.load(Ordering::Relaxed),
             TaskId(d.id.load(Ordering::Relaxed)),
         );
-        match self.sched.submit_with(desc, affinity) {
-            // Handed straight to an idle CPU's claim slot: the scheduler
-            // already woke exactly that CPU, and the task was never
-            // queued.
-            SubmitPath::Direct => {
-                self.counters
-                    .direct_dispatches
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Queued: wake exactly the sleepers the task needs — the
-            // target core's gate for a placed task, one armed CPU for
-            // anything a steal can deliver (per-CPU gates make the wake
-            // targeted; the old single gate had to wake everyone for
-            // placed tasks).
-            SubmitPath::Ring => {
-                self.counters.ring_submits.fetch_add(1, Ordering::Relaxed);
-                self.sched.wake_for(affinity);
-            }
-            SubmitPath::Locked => {
-                self.counters.locked_submits.fetch_add(1, Ordering::Relaxed);
-                self.sched.wake_for(affinity);
+        let slot = d.slot.load(Ordering::Relaxed) as usize;
+        let paths =
+            self.sched
+                .submit_batch(std::slice::from_ref(&desc), affinity, slot, producer_tag());
+        self.account_submit(paths, affinity);
+        Ok(())
+    }
+
+    /// Books one [`Scheduler::submit_batch`] call: the per-path counters,
+    /// and the wake its queued part owes. Tasks handed straight to idle
+    /// CPUs' claim slots were never queued and the scheduler already woke
+    /// exactly those CPUs; a queued remainder — ring or locked overflow,
+    /// of whatever length — needs exactly one [`Scheduler::wake_for`],
+    /// which wakes the sleepers the work needs (the target core's gate
+    /// for placed work, one armed CPU for anything a steal can deliver).
+    fn account_submit(&self, paths: BatchSubmit, affinity: Affinity) {
+        let c = &self.counters;
+        for (counter, n) in [
+            (&c.direct_dispatches, paths.direct),
+            (&c.ring_submits, paths.ring),
+            (&c.locked_submits, paths.locked),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
         }
-        Ok(())
+        if paths.ring + paths.locked > 0 {
+            self.sched.wake_for(affinity);
+        }
     }
 
     /// Frees a descriptor and its host-side resources (`nosv_destroy`).
@@ -326,13 +331,13 @@ impl RuntimeInner {
     }
 
     /// One sweep of the reactor: process join handshakes, clean detaches,
-    /// and guest deaths across every registry slot. `first_dead` tracks
-    /// when each slot's process was first observed gone, implementing the
-    /// configured reclaim grace period.
-    fn reactor_tick(&self, first_dead: &mut HashMap<u32, Instant>, grace: Duration) {
+    /// and guest deaths across every registry slot. `half_open_since`
+    /// tracks when each slot was first observed claimed but unpublished,
+    /// bounding how long such a claim is tolerated.
+    fn reactor_tick(&self, half_open_since: &mut HashMap<u32, Instant>) {
         for slot in 0..MAX_PROCS as u32 {
             let Some(view) = self.seg.slot_view(slot) else {
-                first_dead.remove(&slot);
+                half_open_since.remove(&slot);
                 continue;
             };
             if view.pid == 0 {
@@ -344,14 +349,17 @@ impl RuntimeInner {
                 // eternity next to an attach's handful of stores — has to
                 // elapse first.
                 let dead_now = view.os_pid != 0 && !process_alive(view.os_pid as u32);
-                let since = *first_dead.entry(slot).or_insert_with(Instant::now);
+                let since = *half_open_since.entry(slot).or_insert_with(Instant::now);
                 let bound = Duration::from_nanos(self.config.join_timeout_ns);
                 if (dead_now || since.elapsed() >= bound) && self.seg.reclaim_half_open(slot) {
-                    first_dead.remove(&slot);
+                    half_open_since.remove(&slot);
                     self.emit(ObsKind::CrashReclaim, NO_CPU, view.os_pid, TaskId(0));
                 }
                 continue;
             }
+            // The record is complete: whatever happens to the slot from
+            // here on, it is no longer a half-open claim.
+            half_open_since.remove(&slot);
             let id = ProcessId {
                 pid: view.pid,
                 slot,
@@ -360,9 +368,7 @@ impl RuntimeInner {
                 // Host-attached process (ProcessContext): not the
                 // reactor's business (its record is complete — the
                 // half-open branch above never saw it publish).
-                JoinState::None => {
-                    first_dead.remove(&slot);
-                }
+                JoinState::None => {}
                 JoinState::Requested => {
                     if !process_alive(view.os_pid as u32) {
                         // Died before the handshake completed: release
@@ -390,22 +396,16 @@ impl RuntimeInner {
                     }
                 }
                 JoinState::Active => {
-                    if process_alive(view.os_pid as u32) {
-                        first_dead.remove(&slot);
-                    } else {
-                        let since = *first_dead.entry(slot).or_insert_with(Instant::now);
-                        // The CAS settles the race against a clean detach:
-                        // whichever of Active->Dead (here) and
-                        // Active->Leaving (guest) lands first decides how
-                        // the slot is torn down.
-                        if since.elapsed() >= grace
-                            && self
-                                .seg
-                                .set_join_state(id, JoinState::Active, JoinState::Dead)
-                        {
-                            first_dead.remove(&slot);
-                            self.crash_reclaim(id, view.os_pid);
-                        }
+                    // The OS pid probe alone decides death. The CAS
+                    // settles the race against a clean detach: whichever
+                    // of Active->Dead (here) and Active->Leaving (guest)
+                    // lands first decides how the slot is torn down.
+                    if !process_alive(view.os_pid as u32)
+                        && self
+                            .seg
+                            .set_join_state(id, JoinState::Active, JoinState::Dead)
+                    {
+                        self.crash_reclaim(id, view.os_pid);
                     }
                 }
                 JoinState::Leaving => match self.sched.unregister_proc(slot) {
@@ -414,7 +414,6 @@ impl RuntimeInner {
                         // Frees the registry slot; the guest observes
                         // `join_state() == None` and completes its detach.
                         self.seg.detach(id);
-                        first_dead.remove(&slot);
                     }
                     Err(_) => {
                         // Ready tasks of the leaving guest still queued:
@@ -469,10 +468,9 @@ impl RuntimeInner {
 /// [`RuntimeInner::reactor_tick`].
 fn reactor_main(rt: Arc<RuntimeInner>) {
     let tick = Duration::from_nanos(rt.config.reclaim_tick_ns);
-    let grace = Duration::from_nanos(rt.config.reclaim_grace_ns);
-    let mut first_dead: HashMap<u32, Instant> = HashMap::new();
+    let mut half_open_since: HashMap<u32, Instant> = HashMap::new();
     while !rt.shutdown.load(Ordering::Acquire) {
-        rt.reactor_tick(&mut first_dead, grace);
+        rt.reactor_tick(&mut half_open_since);
         std::thread::sleep(tick);
     }
 }
@@ -577,10 +575,6 @@ impl Runtime {
                 .store(std::process::id() as u64, Ordering::Relaxed);
             m.join_timeout_ns
                 .store(inner.config.join_timeout_ns, Ordering::Relaxed);
-            m.submit_timeout_ns
-                .store(inner.config.submit_timeout_ns, Ordering::Relaxed);
-            m.detach_timeout_ns
-                .store(inner.config.detach_timeout_ns, Ordering::Relaxed);
             m.sched_root
                 .store(inner.sched.root_raw(), Ordering::Release);
             inner.seg.init_user_root_once(|| meta);
@@ -1047,23 +1041,7 @@ impl ProcessContext {
             self.proc.slot as usize,
             producer_tag(),
         );
-        self.rt
-            .counters
-            .direct_dispatches
-            .fetch_add(paths.direct, Ordering::Relaxed);
-        self.rt
-            .counters
-            .ring_submits
-            .fetch_add(paths.ring, Ordering::Relaxed);
-        self.rt
-            .counters
-            .locked_submits
-            .fetch_add(paths.locked, Ordering::Relaxed);
-        // Direct members woke their claimed CPUs inside submit_batch; the
-        // queued remainder needs exactly one server wake.
-        if paths.ring + paths.locked > 0 {
-            self.rt.sched.wake_for(batch.affinity);
-        }
+        self.rt.account_submit(paths, batch.affinity);
         Ok(BatchHandle {
             rt: Arc::clone(&self.rt),
             signal,

@@ -51,8 +51,9 @@ pub struct LiveDriver {
 impl LiveDriver {
     /// A scheduler over a fresh segment with the canonical
     /// [`QuantumPolicy`] of `quantum_ns`, `ring_cap`-entry submission
-    /// rings and `sched_shards` scheduler shards (`0` = one per NUMA
-    /// node).
+    /// rings (`0` = never allocated, so every submission overflows to the
+    /// lock — the parity suite's lock-ordered reference) and
+    /// `sched_shards` scheduler shards (`0` = one per NUMA node).
     pub fn new(
         cpus: usize,
         cpus_per_numa: usize,
@@ -109,9 +110,9 @@ impl LiveDriver {
     }
 
     /// Builds a descriptor in the segment and submits it as `submitter`
-    /// (ring-lane or locked path, as the real runtime would; the
-    /// submitter tag drives lane choice and sticky shard routing exactly
-    /// like a producer thread's tag does).
+    /// — a batch of one, as the real runtime would (the submitter tag
+    /// drives lane choice and sticky shard routing exactly like a
+    /// producer thread's tag does).
     pub fn submit(
         &self,
         id: u64,
@@ -122,7 +123,8 @@ impl LiveDriver {
         submitter: u64,
     ) {
         let off = self.make_desc(id, slot, pid, priority, affinity);
-        self.sched.submit_from(off, affinity, submitter);
+        self.sched
+            .submit_batch(&[off], affinity, slot as usize, submitter);
     }
 
     /// Builds `ids.len()` descriptors sharing one attribute set and

@@ -29,9 +29,11 @@ use nosv_shmem::Shoff;
 use nosv_sync::{Condvar, Mutex};
 
 use crate::obs::{ObsEvent, ObsKind, OBS_BUF_CAP};
-use crate::runtime::RuntimeInner;
+use crate::runtime::{GuestKernel, RuntimeInner};
 use crate::scheduler::ReadyTask;
-use crate::task::{Affinity, TaskCallbacks, TaskCtx, TaskDesc, TaskId, TaskSignal, TaskState};
+use crate::task::{
+    Affinity, BatchShared, TaskCallbacks, TaskCtx, TaskDesc, TaskId, TaskSignal, TaskState,
+};
 
 /// A work order delivered to a worker's mailbox.
 pub(crate) enum Assignment {
@@ -349,17 +351,12 @@ fn run_fetched(
         resume_handoff(rt, me, core, task, attached as usize - 1);
         return Some(LoopExit::Parked);
     }
-    // Guest tasks are data-described (kernel id + argument, no host
-    // pointers) and runnable on *any* worker: they must branch off before
-    // the pid comparison below, whose cross-process handoff would wait for
-    // a worker of the guest's logical process — which has none in this
-    // OS process.
-    if d.kernel.load(Ordering::Acquire) != 0 {
-        execute_guest(rt, task);
-        return None;
-    }
     let pid = d.pid.load(Ordering::Relaxed);
-    if pid == me.pid {
+    // Guest tasks are data-described (kernel id + argument, no host
+    // pointers) and run here, on *any* worker: a cross-process handoff
+    // would wait for a worker of the guest's logical process — which has
+    // none in this OS process.
+    if pid == me.pid || d.kernel.load(Ordering::Acquire) != 0 {
         execute(rt, task);
         None
     } else {
@@ -420,51 +417,6 @@ fn cross_process_handoff(
     target.assign(Assignment::RunTask { core, task });
 }
 
-/// Executes a *guest* task: resolves its kernel id against the host's
-/// registered kernel table and runs the kernel with the descriptor's
-/// metadata word as argument. Guest descriptors carry no callbacks, no
-/// signal and no pending-count entry; completion is reported through the
-/// guest's registry slot (where the guest polls `completed == submitted`)
-/// and the descriptor is freed here — the cross-process SLAB free of
-/// §3.5, since the descriptor was allocated by a different OS process.
-/// An unknown kernel id completes as a no-op rather than poisoning the
-/// worker: the segment is shared state a buggy guest could scribble.
-fn execute_guest(rt: &Arc<RuntimeInner>, task: ReadyTask) {
-    // SAFETY: a task handed out by the scheduler is alive; guest
-    // descriptors stay alive until this function frees them.
-    let d = unsafe { rt.seg.sref(task) };
-    d.set_state(TaskState::Running);
-    let id = TaskId(d.id.load(Ordering::Relaxed));
-    let pid = d.pid.load(Ordering::Relaxed);
-    let slot = d.slot.load(Ordering::Relaxed);
-    let arg = d.metadata.load(Ordering::Relaxed);
-    let kernel_sel = d.kernel.load(Ordering::Acquire);
-    let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
-    rt.emit(ObsKind::Start { remote: false }, core as u32, pid, id);
-    if let Some(kernel) = rt.guest_kernel(kernel_sel - 1) {
-        // No TLS current_task on purpose: guest kernels must not pause
-        // (their "process" has no worker threads to hand the core to).
-        if run_isolated(|| kernel(arg)) {
-            // A guest cannot observe the panic (its registry slot has no
-            // failure channel), but the task must still complete below —
-            // a skipped `completed` bump would wedge the guest's
-            // wait_idle — and the worker must survive a kernel a buggy
-            // guest picked.
-            rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
-            rt.emit(ObsKind::TaskFailed, core as u32, pid, id);
-        }
-    }
-    d.set_state(TaskState::Completed);
-    rt.emit(ObsKind::End, core as u32, pid, id);
-    rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    // Report completion through the guest's registry slot (Release there
-    // pairs with the guest's Acquire poll, so the guest also observes the
-    // kernel's side effects). A no-op if the slot was reclaimed — a guest
-    // that already detached or died is not waiting.
-    rt.seg.add_completed(nosv_shmem::ProcessId { pid, slot }, 1);
-    rt.seg.free_t(task, core);
-}
-
 /// Whether executing on `core` counts as a *remote* execution for the
 /// task's affinity (the lowercase cells of the Fig. 10 timeline); strict
 /// affinities never run remotely.
@@ -480,124 +432,161 @@ fn is_remote(rt: &RuntimeInner, d: &TaskDesc, core: usize) -> bool {
     }
 }
 
-/// Executes a task body on the calling worker thread.
-fn execute(rt: &Arc<RuntimeInner>, task: ReadyTask) {
-    // SAFETY: task alive until destroy, which the state machine forbids
-    // before completion.
-    let d = unsafe { rt.seg.sref(task) };
-    // Batch members branch off before the callbacks swap: they carry the
-    // shared batch block instead of per-task callbacks and a signal.
-    let batch_raw = d.batch.swap(0, Ordering::AcqRel);
-    if batch_raw != 0 {
-        execute_batch_member(rt, task, batch_raw);
-        return;
-    }
-    d.set_state(TaskState::Running);
-    let id = TaskId(d.id.load(Ordering::Relaxed));
-    let pid = d.pid.load(Ordering::Relaxed);
-    let metadata = d.metadata.load(Ordering::Relaxed);
-    let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
-    let remote = is_remote(rt, d, core);
-    rt.emit(ObsKind::Start { remote }, core as u32, pid, id);
+/// Where a task's body comes from and where its completion is reported,
+/// read off the descriptor words that say what kind of task it is.
+enum Body {
+    /// A handle-owned task: its boxed callbacks, uniquely taken from the
+    /// descriptor. Completion runs the user's callback and fires the
+    /// handle's [`TaskSignal`]; the handle frees the descriptor.
+    Handle(Box<TaskCallbacks>),
+    /// A [`crate::TaskBatch`] member: the shared body and latch, one
+    /// strong reference uniquely taken from the descriptor. No handle
+    /// exists to destroy a member, so completion frees the descriptor and
+    /// counts the member down — the last one fires the latch.
+    Batch(Arc<BatchShared>),
+    /// A *guest* task: the host-registered kernel its id resolves to,
+    /// called with the descriptor's metadata word. An unknown id completes
+    /// as a no-op rather than poisoning the worker: the segment is shared
+    /// state a buggy guest could scribble. Guest descriptors carry no
+    /// callbacks, no signal and no pending-count entry; completion is
+    /// reported through the guest's registry slot (where the guest polls
+    /// `completed == submitted`) and the descriptor is freed here — the
+    /// cross-process SLAB free of §3.5, since it was allocated by a
+    /// different OS process.
+    Guest(Option<GuestKernel>),
+}
 
-    let cbs_raw = d.callbacks.swap(0, Ordering::AcqRel);
-    assert_ne!(cbs_raw, 0, "task {id:?} has no callbacks (executed twice?)");
-    // SAFETY: the raw pointer was produced by Box::into_raw at creation and
-    // uniquely taken here (the swap gives us sole ownership).
-    let mut cbs = unsafe { Box::from_raw(cbs_raw as *mut TaskCallbacks) };
-
-    with_tls(|w| w.current_task.set(task.raw()));
-    let ctx = TaskCtx {
-        task_id: id,
-        pid,
-        metadata,
-    };
-    let panicked = run_isolated(|| {
-        if let Some(run) = cbs.run.take() {
-            run(&ctx);
+impl Body {
+    /// Takes the body source off `d` (the swaps give sole ownership).
+    fn take(rt: &RuntimeInner, d: &TaskDesc) -> Body {
+        let kernel_sel = d.kernel.load(Ordering::Acquire);
+        if kernel_sel != 0 {
+            return Body::Guest(rt.guest_kernel(kernel_sel - 1));
         }
-    });
-    with_tls(|w| w.current_task.set(0));
-
-    d.set_state(TaskState::Completed);
-    // The core may have changed if the body paused and resumed elsewhere.
-    let end_core = with_tls(|w| w.core.get()).unwrap_or(core);
-    if panicked {
-        // The panic failed only this task: it still completes (so the
-        // handle can be waited and destroyed), but waiters observe
-        // TaskPanicked through the signal's flag.
-        rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
-        rt.emit(ObsKind::TaskFailed, end_core as u32, pid, id);
-    }
-    rt.emit(ObsKind::End, end_core as u32, pid, id);
-    // Order matters: the pending count must drop *before* any completion
-    // notification fires — both the user's completion callback (through
-    // which e.g. a taskwait may return) and the handle signal — so that
-    // code observing "all my tasks finished" immediately sees a consistent
-    // runtime (e.g. `shutdown()`'s no-pending check).
-    rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    rt.pending_tasks.fetch_sub(1, Ordering::AcqRel);
-    if let Some(completed) = cbs.completed.take() {
-        completed();
-    }
-    let sig_raw = d.signal.swap(0, Ordering::AcqRel);
-    if sig_raw != 0 {
-        // SAFETY: produced by Arc::into_raw at creation; taken exactly once.
-        let sig = unsafe { Arc::from_raw(sig_raw as *const TaskSignal) };
-        if panicked {
-            sig.mark_panicked();
+        let batch_raw = d.batch.swap(0, Ordering::AcqRel);
+        if batch_raw != 0 {
+            // SAFETY: produced by Arc::into_raw in submit_all; uniquely
+            // taken by the swap.
+            return Body::Batch(unsafe { Arc::from_raw(batch_raw as *const BatchShared) });
         }
-        sig.complete();
+        let cbs_raw = d.callbacks.swap(0, Ordering::AcqRel);
+        assert_ne!(
+            cbs_raw,
+            0,
+            "task {:?} has no callbacks (executed twice?)",
+            TaskId(d.id.load(Ordering::Relaxed))
+        );
+        // SAFETY: the raw pointer was produced by Box::into_raw at creation
+        // and uniquely taken here.
+        Body::Handle(unsafe { Box::from_raw(cbs_raw as *mut TaskCallbacks) })
     }
 }
 
-/// Executes one member of a [`crate::TaskBatch`]: runs the batch's shared
-/// body with this member's context, frees the descriptor (batch members
-/// have no handle to destroy them), and counts the member down on the
-/// shared latch — the last one completes it. `shared_raw` is the raw
-/// `Arc<BatchShared>` the caller uniquely took from the descriptor.
-fn execute_batch_member(rt: &Arc<RuntimeInner>, task: ReadyTask, shared_raw: u64) {
-    // SAFETY: a task handed out by the scheduler is alive; batch member
-    // descriptors stay alive until this function frees them.
+/// Executes a task on the calling worker thread: the one prologue, body
+/// call and epilogue every kind of task — handle-owned, batch member,
+/// guest kernel — goes through.
+fn execute(rt: &Arc<RuntimeInner>, task: ReadyTask) {
+    // SAFETY: a task handed out by the scheduler is alive: a handle's
+    // until destroy (which the state machine forbids before completion),
+    // a batch member's or guest's until this function frees it.
     let d = unsafe { rt.seg.sref(task) };
     d.set_state(TaskState::Running);
     let id = TaskId(d.id.load(Ordering::Relaxed));
     let pid = d.pid.load(Ordering::Relaxed);
+    let slot = d.slot.load(Ordering::Relaxed);
     let metadata = d.metadata.load(Ordering::Relaxed);
     let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
     let remote = is_remote(rt, d, core);
     rt.emit(ObsKind::Start { remote }, core as u32, pid, id);
-    // SAFETY: produced by Arc::into_raw in submit_all; uniquely taken by
-    // the caller's swap.
-    let shared = unsafe { Arc::from_raw(shared_raw as *const crate::task::BatchShared) };
-    with_tls(|w| w.current_task.set(task.raw()));
+
+    let mut body = Body::take(rt, d);
+    // Guest kernels run without a TLS current task on purpose: they must
+    // not pause (their "process" has no worker threads to hand the core
+    // to).
+    let pausable = !matches!(body, Body::Guest(_));
+    if pausable {
+        with_tls(|w| w.current_task.set(task.raw()));
+    }
     let ctx = TaskCtx {
         task_id: id,
         pid,
         metadata,
     };
-    let panicked = run_isolated(|| (shared.body)(&ctx));
-    with_tls(|w| w.current_task.set(0));
+    let panicked = run_isolated(|| match &mut body {
+        Body::Handle(cbs) => {
+            if let Some(run) = cbs.run.take() {
+                run(&ctx);
+            }
+        }
+        Body::Batch(shared) => (shared.body)(&ctx),
+        Body::Guest(kernel) => {
+            if let Some(kernel) = kernel {
+                kernel(metadata);
+            }
+        }
+    });
+    if pausable {
+        with_tls(|w| w.current_task.set(0));
+    }
+
     d.set_state(TaskState::Completed);
     // The core may have changed if the body paused and resumed elsewhere.
     let end_core = with_tls(|w| w.core.get()).unwrap_or(core);
     if panicked {
-        // Only this member failed; the batch still completes, and its
-        // waiters observe TaskPanicked through the shared latch's flag.
+        // The panic failed only this task: it still completes — a handle
+        // can be waited and destroyed, a batch still counts down, a
+        // guest's `completed` still advances (a skipped bump would wedge
+        // its wait_idle) — and the worker survives. Waiters observe
+        // TaskPanicked through the signal's flag, set below; a guest
+        // cannot (its registry slot has no failure channel).
         rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
         rt.emit(ObsKind::TaskFailed, end_core as u32, pid, id);
-        shared.signal.mark_panicked();
     }
     rt.emit(ObsKind::End, end_core as u32, pid, id);
     rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    // Pending drops before the latch can fire (see `execute`); the
-    // descriptor is freed before our countdown so that once the latch
-    // fires, every member's memory is provably back in the slab.
-    rt.pending_tasks.fetch_sub(1, Ordering::AcqRel);
-    rt.seg.free_t(task, end_core);
-    rt.live_descriptors.fetch_sub(1, Ordering::AcqRel);
-    if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.signal.complete();
+    // Order matters: the pending count must drop — and a descriptor this
+    // function owns must be back in the slab — *before* any completion
+    // notification fires (the user's completion callback, through which
+    // e.g. a taskwait may return; the handle signal; the batch latch; the
+    // guest's `completed` counter), so that code observing "all my tasks
+    // finished" immediately sees a consistent runtime (e.g. `shutdown()`'s
+    // no-pending check, or a batch waiter counting slab occupancy).
+    match body {
+        Body::Handle(mut cbs) => {
+            rt.pending_tasks.fetch_sub(1, Ordering::AcqRel);
+            if let Some(completed) = cbs.completed.take() {
+                completed();
+            }
+            let sig_raw = d.signal.swap(0, Ordering::AcqRel);
+            if sig_raw != 0 {
+                // SAFETY: produced by Arc::into_raw at creation; taken
+                // exactly once.
+                let sig = unsafe { Arc::from_raw(sig_raw as *const TaskSignal) };
+                if panicked {
+                    sig.mark_panicked();
+                }
+                sig.complete();
+            }
+        }
+        Body::Batch(shared) => {
+            rt.pending_tasks.fetch_sub(1, Ordering::AcqRel);
+            rt.seg.free_t(task, end_core);
+            rt.live_descriptors.fetch_sub(1, Ordering::AcqRel);
+            if panicked {
+                shared.signal.mark_panicked();
+            }
+            if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                shared.signal.complete();
+            }
+        }
+        Body::Guest(_) => {
+            rt.seg.free_t(task, end_core);
+            // Release there pairs with the guest's Acquire poll, so the
+            // guest also observes the kernel's side effects. A no-op if
+            // the slot was reclaimed — a guest that already detached or
+            // died is not waiting.
+            rt.seg.add_completed(nosv_shmem::ProcessId { pid, slot }, 1);
+        }
     }
 }
 
