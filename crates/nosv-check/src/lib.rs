@@ -28,7 +28,7 @@
 //!   running thread, giving probabilistic bug-depth guarantees.
 //!
 //! Blocking is modeled, not simulated: a virtual thread that waits on a
-//! model [`Mutex`]/[`Condvar`] or joins another thread is descheduled until
+//! model [`Mutex`]/[`Condvar`]/[`futex_wait`] or joins another thread is descheduled until
 //! an event makes it runnable again. If every live thread is blocked, the
 //! checker reports a **deadlock** — which is how lost-wakeup bugs surface.
 //! Runaway schedules (livelock, unbounded spinning) are cut off by
@@ -54,4 +54,7 @@ pub mod sync;
 pub mod thread;
 
 pub use sched::{explore, model, Config, Failure, Report, Strategy};
-pub use sync::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard};
+pub use sync::{
+    fence, futex_wait, futex_wake, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex,
+    MutexGuard,
+};

@@ -1110,4 +1110,63 @@ mod tests {
             "lost wakeup must surface as a deadlock: {report:?}"
         );
     }
+    #[test]
+    fn futex_compare_and_block_is_atomic() {
+        // The futex contract: bump the word, then wake. The waiter's
+        // compare-and-block is one step, so the wake either finds it
+        // queued or the compare sees the bump. Never deadlocks, full DFS.
+        let report = explore(
+            Config::new(Strategy::Dfs {
+                max_schedules: 50_000,
+            }),
+            || {
+                let word = Arc::new(crate::sync::AtomicU32::new(0));
+                let w = word.clone();
+                let h = thread::spawn(move || {
+                    while w.load(Ordering::SeqCst) == 0 {
+                        crate::sync::futex_wait(&w, 0, None);
+                    }
+                });
+                word.fetch_add(1, Ordering::SeqCst);
+                crate::sync::futex_wake(&word, false);
+                h.join().unwrap();
+            },
+        );
+        assert!(report.failures.is_empty(), "{:?}", report.failures.first());
+        assert!(report.complete);
+    }
+
+    #[test]
+    fn futex_wake_before_the_bump_deadlocks() {
+        // Broken protocol: the wake is issued *before* the word moves, so
+        // it can find nobody queued and the waiter then sleeps on the old
+        // value for good. The model must not paper over it — in
+        // particular not with the timeout, which it ignores.
+        let report = explore(
+            Config::new(Strategy::Dfs {
+                max_schedules: 50_000,
+            }),
+            || {
+                let word = Arc::new(crate::sync::AtomicU32::new(0));
+                let w = word.clone();
+                let h = thread::spawn(move || {
+                    let nap = Some(std::time::Duration::from_millis(1));
+                    while w.load(Ordering::SeqCst) == 0 {
+                        crate::sync::futex_wait(&w, 0, nap);
+                    }
+                });
+                // BUG (intentional): wake first, bump second.
+                crate::sync::futex_wake(&word, false);
+                word.fetch_add(1, Ordering::SeqCst);
+                h.join().unwrap();
+            },
+        );
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.message.contains("deadlock")),
+            "lost wakeup must surface as a deadlock: {report:?}"
+        );
+    }
 }

@@ -353,3 +353,49 @@ impl Condvar {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Futex
+// ---------------------------------------------------------------------------
+
+fn futex_key(word: &AtomicU32) -> u64 {
+    word as *const AtomicU32 as usize as u64
+}
+
+/// Model `futex(FUTEX_WAIT)`: blocks while `*word == expected`, until a
+/// [`futex_wake`] on the same word.
+///
+/// Inside an exploration the compare and the block are one scheduling
+/// step — exactly the kernel's guarantee — and `timeout` is **ignored**:
+/// a waiter the protocol forgot to wake stays blocked, so a lost wakeup
+/// surfaces as a deadlock instead of hiding behind a timer. Outside an
+/// exploration it degrades to a yield loop that honours `timeout`.
+pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<std::time::Duration>) {
+    if sched::in_model() {
+        sched::yield_op();
+        if word.0.load(Ordering::SeqCst) == expected {
+            sched::block_on(futex_key(word));
+        }
+    } else {
+        let deadline = timeout.map(|t| std::time::Instant::now() + t);
+        while word.0.load(Ordering::SeqCst) == expected
+            && deadline.is_none_or(|d| std::time::Instant::now() < d)
+        {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Model `futex(FUTEX_WAKE)`: wakes one waiter blocked on `word`
+/// (`all == false`) or every one of them. A wake with no waiter is lost,
+/// as in the kernel.
+pub fn futex_wake(word: &AtomicU32, all: bool) {
+    if sched::in_model() {
+        sched::yield_op();
+        if all {
+            sched::unblock_all(futex_key(word));
+        } else {
+            sched::unblock_one(futex_key(word));
+        }
+    }
+}

@@ -6,7 +6,7 @@
 //!
 //! 1. **Segment-resident layout** ([`Rule::ReprLayout`]): the types that
 //!    live inside shared-memory segments (`SubmitRing`, `ClaimTable`,
-//!    `ProcSlot`, the allocator headers, …) must be `#[repr(C)]` (or
+//!    `IdleGate`, `ProcSlot`, the allocator headers, …) must be `#[repr(C)]` (or
 //!    `#[repr(transparent)]`), otherwise their layout is not stable across
 //!    the processes mapping the segment.
 //! 2. **Segment-field purity** ([`Rule::SegmentField`]): fields of any
@@ -97,6 +97,8 @@ pub const SEGMENT_RESIDENT_TYPES: &[&str] = &[
     "SubmitRing",
     "RingSlot",
     "ClaimTable",
+    "IdleGate",
+    "CpuGateBlock",
     "ProcSlot",
     "Header",
     "SlabGlobal",

@@ -23,9 +23,10 @@
 //!
 //! Exactly-once delivery is the CAS's: a slot leaves `ARMED` exactly once
 //! per arming, either by the owner's disarm or by one claimer. Blocking
-//! and wakeup are host-side concerns (the runtime pairs each slot with a
-//! per-CPU gate in `nosv_sync`); this table is pure shared state, usable
-//! from any attached process.
+//! and wakeup are the business of the per-CPU gates the runtime places
+//! next to this table in the segment (`nosv_sync::CpuGateBlock`): a
+//! claimer — of any attached process — follows its deposit with a notify
+//! on the claimed CPU's gate.
 //!
 //! # Memory ordering
 //!
@@ -91,7 +92,7 @@ impl ClaimTable {
 
     /// Attempts to hand `task` to `cpu` (one CAS). `true` = the CPU now
     /// owns the task; the caller must still deliver the wakeup through
-    /// its host-side gate.
+    /// that CPU's gate.
     ///
     /// # Panics
     ///

@@ -8,6 +8,7 @@
 //! as the remaining-count return of [`ShmSegment::detach`].
 
 use nosv_sync::hint::{crash_point, AtomicU32, AtomicU64, Ordering};
+use nosv_sync::IdleGate;
 
 use crate::layout::{MAX_PROCS, PROC_SLOT_BYTES};
 use crate::offset::Shoff;
@@ -82,9 +83,12 @@ impl JoinState {
 /// Beyond the claim state and logical pid, a slot carries the attach
 /// record the cross-process handshake and the crash-reclaim sweeper work
 /// from: the OS pid (liveness probe target), a heartbeat epoch the guest
-/// bumps while healthy, the join state, and submitted/completed counters
+/// bumps while healthy, the join state, submitted/completed counters
 /// through which a guest (which owns no workers) observes its tasks'
-/// progress.
+/// progress, and the gate the guest sleeps on while it waits for that
+/// progress: every host-side change a guest can be waiting for — a
+/// completion, a join-state transition, the slot's release — ends with a
+/// notification on it.
 #[repr(C)]
 struct ProcSlot {
     state: AtomicU32,
@@ -94,6 +98,7 @@ struct ProcSlot {
     heartbeat: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
+    gate: IdleGate,
 }
 
 const _: () = assert!(std::mem::size_of::<ProcSlot>() <= PROC_SLOT_BYTES);
@@ -199,6 +204,8 @@ impl ShmSegment {
         s.join_state
             .store(JoinState::None as u32, Ordering::Relaxed);
         s.state.store(SLOT_FREE, Ordering::Release);
+        // A guest in its clean-detach wait sleeps until the slot is gone.
+        s.gate.notify_all();
         self.attached_count()
     }
 
@@ -273,14 +280,37 @@ impl ShmSegment {
     /// slot is no longer `id`'s or the state has moved on. This is what
     /// makes handshake/sweeper decisions race-safe over the racy
     /// [`ShmSegment::slot_view`] snapshots.
+    ///
+    /// A transition that lands notifies the slot's gate
+    /// ([`ShmSegment::slot_gate`]): the guest may be asleep waiting for
+    /// exactly this (the join ack, a death verdict).
     pub fn set_join_state(&self, id: ProcessId, from: JoinState, to: JoinState) -> bool {
         let s = slot(self, id.slot as usize);
         if s.pid.load(Ordering::Acquire) != id.pid {
             return false;
         }
-        s.join_state
+        let won = s
+            .join_state
             .compare_exchange(from as u32, to as u32, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+            .is_ok();
+        if won {
+            s.gate.notify_all();
+        }
+        won
+    }
+
+    /// The gate a guest sleeps on while it waits for slot `i` to change:
+    /// [`ShmSegment::add_completed`], a landed
+    /// [`ShmSegment::set_join_state`] and [`ShmSegment::detach`] all end
+    /// by notifying it. Waiters follow the eventcount discipline —
+    /// `prepare_wait`, re-read the slot, then wait on the captured key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a registry slot index.
+    pub fn slot_gate(&self, i: u32) -> &IdleGate {
+        assert!((i as usize) < MAX_PROCS, "slot {i} outside the registry");
+        &slot(self, i as usize).gate
     }
 
     /// Current join state of `id`, or `None` when the slot is no longer
@@ -313,14 +343,18 @@ impl ShmSegment {
         }
     }
 
-    /// Adds `n` to `id`'s completed-task counter (no-op on a reclaimed
-    /// slot). The Release pairs with a waiting guest's Acquire read in
-    /// [`ShmSegment::slot_view`], so a guest that observes
-    /// `completed == submitted` also observes its tasks' side effects.
+    /// Adds `n` to `id`'s completed-task counter and notifies the slot's
+    /// gate (no-op on a reclaimed slot). The Release pairs with a waiting
+    /// guest's Acquire read in [`ShmSegment::slot_view`], so a guest that
+    /// observes `completed == submitted` also observes its tasks' side
+    /// effects; the notification after it is what lets that guest sleep
+    /// instead of polling (one `fetch_add` and one load while it is
+    /// awake).
     pub fn add_completed(&self, id: ProcessId, n: u64) {
         let s = slot(self, id.slot as usize);
         if s.pid.load(Ordering::Acquire) == id.pid {
             s.completed.fetch_add(n, Ordering::Release);
+            s.gate.notify_all();
         }
     }
 
@@ -430,6 +464,34 @@ mod tests {
         s.add_submitted(g, 1);
         let h = s.attach().unwrap();
         assert_eq!(s.slot_view(h.slot).unwrap().submitted, 0);
+        s.detach(h);
+    }
+
+    /// Everything a guest can be waiting for moves its slot's gate: a
+    /// key captured before the change no longer blocks.
+    #[test]
+    fn slot_changes_notify_the_slot_gate() {
+        let s = seg();
+        let g = s.attach_guest().unwrap();
+        let gate = s.slot_gate(g.slot);
+        let changes: [&dyn Fn(); 3] = [
+            &|| assert!(s.set_join_state(g, JoinState::Requested, JoinState::Active)),
+            &|| s.add_completed(g, 1),
+            &|| {
+                s.detach(g);
+            },
+        ];
+        for change in changes {
+            let key = gate.prepare_wait();
+            change();
+            assert_ne!(gate.prepare_wait(), key, "change did not notify");
+            gate.wait(key); // stale key: must not block
+        }
+        // A transition that loses its CAS changed nothing and says nothing.
+        let h = s.attach_guest().unwrap();
+        let key = s.slot_gate(h.slot).prepare_wait();
+        assert!(!s.set_join_state(h, JoinState::Active, JoinState::Leaving));
+        assert_eq!(s.slot_gate(h.slot).prepare_wait(), key);
         s.detach(h);
     }
 

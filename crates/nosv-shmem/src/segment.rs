@@ -16,7 +16,7 @@ const MAGIC: u64 = 0x6e4f_5356_5348_4d31; // "nOSVSHM1"
 /// On-disk/in-memory format version stamped into the header at creation
 /// and checked on [`ShmSegment::attach_named`]: a process built against a
 /// different layout must not touch the segment.
-pub const SEGMENT_VERSION: u64 = 1;
+pub const SEGMENT_VERSION: u64 = 2;
 
 /// Capability bit: the owning runtime accepts foreign-process joins
 /// (handshake records in the registry, guest submission rings).

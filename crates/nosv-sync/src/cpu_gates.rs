@@ -1,6 +1,6 @@
 //! Per-CPU wake gates with a single elected standby spinner.
 //!
-//! The host-side half of direct dispatch (the shared-state half is
+//! The blocking half of direct dispatch (the handoff half is
 //! `nosv_shmem::ClaimTable`): each CPU's idle worker sleeps on **its own**
 //! [`IdleGate`], so a submission that deposited a task into a specific
 //! CPU's handoff slot can wake exactly that CPU — `notify_one` on a shared
@@ -8,14 +8,30 @@
 //!
 //! On top of the per-CPU gates sits a *standby* election: the first CPU to
 //! go idle claims the standby role and spends a bounded adaptive spin
-//! ([`IdleGate::wait_spin`]) watching its gate before the futex-style
-//! sleep. Submitters prefer depositing to the standby CPU
+//! ([`IdleGate::wait_spin`]) watching its gate before the futex sleep.
+//! Submitters prefer depositing to the standby CPU
 //! ([`CpuGates::standby`]), so a serial task stream on an otherwise idle
 //! runtime runs entirely wake-free: one CAS into the spinner's slot, one
 //! epoch bump it observes without any kernel transition — and the same CPU
 //! keeps taking successive tasks, staying cache-hot. Every other idle CPU
 //! sleeps immediately; only one core ever burns spin cycles, and only
 //! briefly.
+//!
+//! # Where the state lives
+//!
+//! All of it — the gates, the election word, the miss budget — is one
+//! [`CpuGateBlock`]: `#[repr(C)]`, valid all-zero, no host pointers.
+//! [`CpuGates`] is the handle that operates a block: [`CpuGates::new`]
+//! owns one on the heap, [`CpuGates::over`] borrows one that lives
+//! elsewhere — in the runtime, inside the shared segment, so that every
+//! co-executing process wakes workers through the same words.
+//!
+//! Roles on a shared block: the host's workers *wait* (and run the
+//! election); everyone else only [`CpuGates::notify`]s and reads
+//! [`CpuGates::standby`]. The worst a notifier can do to a waiter is a
+//! spurious wake.
+
+use std::ptr::NonNull;
 
 use crate::hint::{AtomicU64, Ordering};
 use crate::{IdleGate, Padded};
@@ -40,10 +56,15 @@ const STANDBY_STICKY_MISSES: u64 = 8;
 /// role is free).
 const STANDBY_HOLDER_MASK: u64 = 0xffff_ffff;
 
-/// One [`IdleGate`] per CPU plus the standby election; see the module
-/// docs.
-pub struct CpuGates {
-    gates: Box<[Padded<IdleGate>]>,
+/// Most CPUs one [`CpuGateBlock`] covers.
+pub const GATE_MAX_CPUS: usize = 256;
+
+/// The storage [`CpuGates`] operates: one gate per CPU plus the standby
+/// election. `repr(C)`, fixed layout, zero-valid (zeroed = nobody asleep,
+/// role free), position-independent — fit for a shared-memory segment.
+/// Opaque: every operation goes through a [`CpuGates`] handle.
+#[repr(C)]
+pub struct CpuGateBlock {
     /// Packed election word: low 32 bits = current standby CPU + 1 (0 =
     /// none spinning), high 32 bits = *sticky* last holder CPU + 1. A free
     /// role stays reserved for the sticky holder so a serial stream keeps
@@ -55,28 +76,83 @@ pub struct CpuGates {
     /// Times the role changed hands between different CPUs (the
     /// re-election frequency the stickiness bounds).
     elections: AtomicU64,
+    gates: [Padded<IdleGate>; GATE_MAX_CPUS],
 }
 
+/// Who keeps a [`CpuGates`]' block alive.
+enum Backing {
+    Owned(Box<CpuGateBlock>),
+    Shared(NonNull<CpuGateBlock>),
+}
+
+/// One [`IdleGate`] per CPU plus the standby election; see the module
+/// docs.
+pub struct CpuGates {
+    backing: Backing,
+    cpus: usize,
+}
+
+// SAFETY: a `CpuGateBlock` is all atomics and every `CpuGates` method
+// takes `&self`; the `Shared` pointer is valid on any thread for as long
+// as `CpuGates::over`'s caller promised.
+unsafe impl Send for CpuGates {}
+// SAFETY: as above — shared access is all the handle ever performs.
+unsafe impl Sync for CpuGates {}
+
 impl CpuGates {
-    /// Gates for `cpus` CPUs.
+    /// Gates for `cpus` CPUs over a block of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpus` exceeds [`GATE_MAX_CPUS`].
     pub fn new(cpus: usize) -> CpuGates {
+        assert!(cpus <= GATE_MAX_CPUS, "{cpus} CPUs exceed a gate block");
+        // SAFETY: CpuGateBlock is repr(C), all-atomic and zero-valid.
+        let block: Box<CpuGateBlock> = unsafe { Box::new(std::mem::zeroed()) };
         CpuGates {
-            gates: (0..cpus).map(|_| Padded::new(IdleGate::new())).collect(),
-            standby: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            elections: AtomicU64::new(0),
+            backing: Backing::Owned(block),
+            cpus,
+        }
+    }
+
+    /// Gates for `cpus` CPUs over a block that lives elsewhere (a shared
+    /// segment). Any number of handles, in any number of processes, may
+    /// operate one block.
+    ///
+    /// # Safety
+    ///
+    /// `block` must stay valid, at this address, for as long as the
+    /// returned handle is used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpus` exceeds [`GATE_MAX_CPUS`].
+    pub unsafe fn over(block: &CpuGateBlock, cpus: usize) -> CpuGates {
+        assert!(cpus <= GATE_MAX_CPUS, "{cpus} CPUs exceed a gate block");
+        CpuGates {
+            backing: Backing::Shared(NonNull::from(block)),
+            cpus,
+        }
+    }
+
+    #[inline]
+    fn block(&self) -> &CpuGateBlock {
+        match &self.backing {
+            Backing::Owned(block) => block,
+            // SAFETY: valid for the handle's lifetime by `over`'s contract.
+            Backing::Shared(block) => unsafe { block.as_ref() },
         }
     }
 
     /// Number of CPUs covered.
     pub fn cpus(&self) -> usize {
-        self.gates.len()
+        self.cpus
     }
 
     /// Captures `cpu`'s gate epoch; see [`IdleGate::prepare_wait`].
     #[inline]
-    pub fn prepare_wait(&self, cpu: usize) -> u64 {
-        self.gates[cpu].prepare_wait()
+    pub fn prepare_wait(&self, cpu: usize) -> u32 {
+        self.block().gates[cpu].prepare_wait()
     }
 
     /// Blocks `cpu` until its gate is notified after `key` was captured.
@@ -88,42 +164,44 @@ impl CpuGates {
     /// holder missed `STANDBY_STICKY_MISSES` chances to reclaim it — so
     /// a serial stream keeps depositing to one cache-hot consumer instead
     /// of re-electing on every task.
-    pub fn wait(&self, cpu: usize, key: u64) {
+    pub fn wait(&self, cpu: usize, key: u32) {
+        let block = self.block();
         let me = cpu as u64 + 1;
         if self.try_claim_standby(me) {
-            self.gates[cpu].wait_spin(key, STANDBY_SPIN_ROUNDS);
+            block.gates[cpu].wait_spin(key, STANDBY_SPIN_ROUNDS);
             // Release the role but stay the sticky (reserved) holder.
-            self.standby.store(me << 32, Ordering::SeqCst);
+            block.standby.store(me << 32, Ordering::SeqCst);
         } else {
-            self.gates[cpu].wait(key);
+            block.gates[cpu].wait(key);
         }
     }
 
     /// One election attempt by CPU `me` (index + 1); see [`CpuGates::wait`].
     fn try_claim_standby(&self, me: u64) -> bool {
+        let block = self.block();
         loop {
-            let cur = self.standby.load(Ordering::SeqCst);
+            let cur = block.standby.load(Ordering::SeqCst);
             if cur & STANDBY_HOLDER_MASK != 0 {
                 return false; // someone is spinning already
             }
             let sticky = cur >> 32;
             if sticky != 0
                 && sticky != me
-                && self.misses.fetch_add(1, Ordering::SeqCst) + 1 < STANDBY_STICKY_MISSES
+                && block.misses.fetch_add(1, Ordering::SeqCst) + 1 < STANDBY_STICKY_MISSES
             {
                 // Free but reserved: leave it for the sticky holder until
                 // it has provably stopped coming back.
                 return false;
             }
             let next = (me << 32) | me;
-            if self
+            if block
                 .standby
                 .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                self.misses.store(0, Ordering::SeqCst);
+                block.misses.store(0, Ordering::SeqCst);
                 if sticky != me {
-                    self.elections.fetch_add(1, Ordering::Relaxed);
+                    block.elections.fetch_add(1, Ordering::Relaxed);
                 }
                 return true;
             }
@@ -131,15 +209,15 @@ impl CpuGates {
         }
     }
 
-    /// The CPU currently spinning as standby, if any (a hint: it may
+    /// The CPU currently holding the standby role, if any (a hint: it may
     /// commit to sleep at any moment, in which case its gate wake simply
-    /// costs the futex path).
+    /// costs the futex path). Always a valid index for this handle: the
+    /// word may sit in memory other processes can write, so a value
+    /// outside `0..cpus` reads as "nobody".
     #[inline]
     pub fn standby(&self) -> Option<usize> {
-        match self.standby.load(Ordering::SeqCst) & STANDBY_HOLDER_MASK {
-            0 => None,
-            c => Some(c as usize - 1),
-        }
+        let holder = (self.block().standby.load(Ordering::SeqCst) & STANDBY_HOLDER_MASK) as usize;
+        (1..=self.cpus).contains(&holder).then(|| holder - 1)
     }
 
     /// Times the standby role has changed hands between different CPUs
@@ -148,19 +226,19 @@ impl CpuGates {
     /// foreign claim attempts, not once per task.
     #[inline]
     pub fn standby_elections(&self) -> u64 {
-        self.elections.load(Ordering::Relaxed)
+        self.block().elections.load(Ordering::Relaxed)
     }
 
     /// Notifies `cpu`'s gate (wakes its sleeper, or turns its standby
     /// spin into an immediate return).
     #[inline]
     pub fn notify(&self, cpu: usize) {
-        self.gates[cpu].notify_one();
+        self.block().gates[cpu].notify_one();
     }
 
     /// Notifies every CPU's gate (shutdown).
     pub fn notify_all(&self) {
-        for g in self.gates.iter() {
+        for g in &self.block().gates[..self.cpus] {
             g.notify_all();
         }
     }

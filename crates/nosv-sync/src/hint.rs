@@ -2,15 +2,17 @@
 //! written against.
 //!
 //! In a normal build this module is a zero-cost re-export of
-//! `std::sync::atomic` plus the crate's own [`Mutex`]/[`Condvar`] facade and
-//! `std::thread` — the types are *the same types*, so release codegen is
-//! bit-identical to using `std` directly.
+//! `std::sync::atomic` plus the crate's own [`Mutex`]/[`Condvar`] facade,
+//! `std::thread` and the [`futex_wait`]/[`futex_wake`] pair (the raw
+//! syscall on Linux, a yield loop under Miri and elsewhere) — the types
+//! are *the same types*, so release codegen is bit-identical to using
+//! `std` directly.
 //!
 //! With the `model` feature enabled, the same names resolve to the
 //! `nosv-check` model checker's shims instead: every atomic operation,
-//! mutex acquisition, condvar wait, spawn and yield becomes a preemption
-//! point of a deterministic schedule explorer (see the `nosv-check` crate
-//! docs). The model types are `#[repr(transparent)]` wrappers over the real
+//! mutex acquisition, condvar or futex wait, spawn and yield becomes a
+//! preemption point of a deterministic schedule explorer (see the
+//! `nosv-check` crate docs). The model types are `#[repr(transparent)]` wrappers over the real
 //! atomics, so the layout of `#[repr(C)]` segment-resident structs is
 //! unchanged, and outside an active exploration every operation falls
 //! through to the real one — enabling the feature never changes what
@@ -51,6 +53,16 @@ mod imp {
 }
 
 pub use imp::*;
+
+/// Whether this build routes the facade through the model checker (the
+/// `model` feature). Suites that run both ways use it to pick between an
+/// explored schedule and a plain threaded run.
+pub const MODEL: bool = cfg!(feature = "model");
+
+#[cfg(not(feature = "model"))]
+pub use crate::futex::{futex_wait, futex_wake};
+#[cfg(feature = "model")]
+pub use nosv_check::{futex_wait, futex_wake};
 
 /// A named crash point: the protocol-step counterpart of the atomic shims
 /// above, marking every instruction boundary at which a *participant may

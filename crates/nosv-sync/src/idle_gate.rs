@@ -18,20 +18,36 @@
 //! the protocol nOS-V needs for its futex-idle behaviour (paper §5.2's
 //! "oversubscription idle" baseline — never busy-wait, never poll).
 //!
+//! # Layout: two words, anywhere
+//!
+//! The gate is two 32-bit words — the epoch, which *is* the futex word,
+//! and a sleeper count — `#[repr(C)]`, valid all-zero and free of host
+//! pointers, and it blocks on a *shared* futex
+//! ([`crate::hint::futex_wait`]). It can therefore live inside a
+//! shared-memory segment with waiter and waker in different OS processes:
+//! the paper's system-wide wake machinery (§3.3–3.4) is this one type, on
+//! the heap for a lone runtime and in the segment for co-executing ones.
+//!
 //! # Memory ordering
 //!
 //! The lost-wakeup argument is a store-buffer (Dekker) pattern and needs
 //! sequential consistency on the epoch and sleeper counters:
 //!
-//! * consumer: `sleepers += 1` (inside the mutex), **then** reads `epoch`;
+//! * consumer: `sleepers += 1`, **then** reads `epoch`;
 //! * producer: bumps `epoch`, **then** reads `sleepers`.
 //!
 //! In any SeqCst total order at least one side observes the other: either
 //! the consumer sees the bumped epoch (returns without sleeping), or the
-//! producer sees `sleepers > 0` and takes the mutex to deliver a condvar
-//! notification — and because the consumer holds that mutex from its epoch
-//! check until the condvar wait parks it, the notification cannot land in
-//! between.
+//! producer sees `sleepers > 0` and issues a `FUTEX_WAKE` — *after* its
+//! bump. The kernel's `FUTEX_WAIT` compares the epoch against the key and
+//! enqueues the consumer under the same lock `FUTEX_WAKE` takes, so that
+//! wake either finds the consumer queued, or ran first — and then the bump
+//! before it is what the kernel-side compare reads, and the consumer
+//! returns at once.
+//!
+//! The epoch is 32 bits because the futex word is: a waiter would miss a
+//! notification only if exactly 2³² of them landed between its
+//! `prepare_wait` and its sleep.
 //!
 //! ```
 //! use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,27 +69,28 @@
 //! consumer.join().unwrap();
 //! ```
 
-use crate::hint::{AtomicU64, Condvar, Mutex, Ordering};
+use std::time::Duration;
+
+use crate::hint::{futex_wait, futex_wake, AtomicU32, Ordering};
 
 /// An event-counted gate for idle threads; see the module docs for the
-/// protocol and its lost-wakeup argument.
+/// protocol, the layout contract and the lost-wakeup argument.
+#[repr(C)]
 pub struct IdleGate {
-    /// Event epoch: bumped by every notification.
-    epoch: AtomicU64,
-    /// Threads currently committed to sleeping (incremented under `mutex`).
-    sleepers: AtomicU64,
-    mutex: Mutex<()>,
-    cv: Condvar,
+    /// Event epoch, bumped by every notification — and the futex word
+    /// sleepers block on.
+    epoch: AtomicU32,
+    /// Threads currently committed to sleeping.
+    sleepers: AtomicU32,
 }
 
 impl IdleGate {
-    /// Creates a gate with no pending events and no sleepers.
-    pub fn new() -> IdleGate {
+    /// Creates a gate with no pending events and no sleepers (the
+    /// all-zero state a fresh segment already holds).
+    pub const fn new() -> IdleGate {
         IdleGate {
-            epoch: AtomicU64::new(0),
-            sleepers: AtomicU64::new(0),
-            mutex: Mutex::new(()),
-            cv: Condvar::new(),
+            epoch: AtomicU32::new(0),
+            sleepers: AtomicU32::new(0),
         }
     }
 
@@ -83,22 +100,38 @@ impl IdleGate {
     /// returned key to [`IdleGate::wait`]. Any notification after this
     /// call makes that `wait` return immediately.
     #[inline]
-    pub fn prepare_wait(&self) -> u64 {
+    pub fn prepare_wait(&self) -> u32 {
         self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until a notification arrives after `key` was captured.
+    ///
+    /// Returns immediately if one already has. Spurious returns are
+    /// allowed (callers loop on their predicate anyway).
+    pub fn wait(&self, key: u32) {
+        self.wait_spin_timeout(key, 0, None);
     }
 
     /// Like [`IdleGate::wait`], preceded by a bounded adaptive spin: up to
     /// `rounds` backoff steps (escalating from `spin_loop` hints to OS
-    /// yields) watching the epoch before committing to the futex-style
-    /// sleep. A notification that lands during the spin is consumed
-    /// without any mutex, condvar or kernel transition — the "standby
-    /// worker" fast path that lets a fully idle runtime absorb a serial
-    /// task stream without paying one futex wake per task.
+    /// yields) watching the epoch before committing to the futex sleep. A
+    /// notification that lands during the spin is consumed without any
+    /// kernel transition on either side — the "standby worker" fast path
+    /// that lets a fully idle runtime absorb a serial task stream without
+    /// paying one futex wake per task.
     ///
     /// `rounds == 0` is exactly [`IdleGate::wait`]. Callers should elect
     /// at most one spinner at a time (see `CpuGates`), since every
     /// additional spinner burns a core the workload could use.
-    pub fn wait_spin(&self, key: u64, rounds: u32) {
+    pub fn wait_spin(&self, key: u32, rounds: u32) {
+        self.wait_spin_timeout(key, rounds, None);
+    }
+
+    /// [`IdleGate::wait_spin`] whose sleep also ends after `timeout`
+    /// (`None` = unbounded) — for waiters that must look up now and then
+    /// whatever happens, e.g. to probe whether the process they wait on
+    /// is still alive.
+    pub fn wait_spin_timeout(&self, key: u32, rounds: u32, timeout: Option<Duration>) {
         let mut backoff = crate::Backoff::new();
         for _ in 0..rounds {
             if self.epoch.load(Ordering::SeqCst) != key {
@@ -106,54 +139,51 @@ impl IdleGate {
             }
             backoff.snooze();
         }
-        self.wait(key);
-    }
-
-    /// Blocks until a notification arrives after `key` was captured.
-    ///
-    /// Returns immediately if one already has. Spurious returns are
-    /// allowed (callers loop on their predicate anyway).
-    pub fn wait(&self, key: u64) {
-        let mut guard = self.mutex.lock();
         // Commit to sleeping *before* the epoch check (see module docs:
         // the producer reads `sleepers` after bumping the epoch, so one
         // side always sees the other).
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.epoch.load(Ordering::SeqCst) != key {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
+        if self.epoch.load(Ordering::SeqCst) == key {
+            futex_wait(&self.epoch, key, timeout);
         }
-        self.cv.wait(&mut guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Signals one sleeping thread that an event happened.
     ///
-    /// Wait-free when nobody sleeps (one `fetch_add` + one load); takes
-    /// the internal mutex only to hand over a condvar notification.
+    /// Wait-free when nobody sleeps (one `fetch_add` + one load); enters
+    /// the kernel only to hand a `FUTEX_WAKE` to a committed sleeper.
     #[inline]
     pub fn notify_one(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.mutex.lock();
-            self.cv.notify_one();
-        }
+        self.notify(false);
     }
 
     /// Signals every sleeping thread (shutdown, topology-constrained work
     /// that only a specific sleeper can take).
     #[inline]
     pub fn notify_all(&self) {
+        self.notify(true);
+    }
+
+    #[inline]
+    fn notify(&self, all: bool) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.mutex.lock();
-            self.cv.notify_all();
+            futex_wake(&self.epoch, all);
         }
     }
 
     /// Racy count of threads currently sleeping on the gate (diagnostics).
-    pub fn sleepers(&self) -> u64 {
+    pub fn sleepers(&self) -> u32 {
         self.sleepers.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes the sleeper count. Only for a gate whose every possible
+    /// waiter is known to be gone — a shared-segment gate whose waiting
+    /// process was killed mid-sleep leaves its increment behind, and until
+    /// it is cleared each notification pays a pointless `FUTEX_WAKE`.
+    pub fn forget_sleepers(&self) {
+        self.sleepers.store(0, Ordering::SeqCst);
     }
 }
 
@@ -175,6 +205,7 @@ impl std::fmt::Debug for IdleGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hint::AtomicU64;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
@@ -187,6 +218,27 @@ mod tests {
         gate.notify_one();
         // Must not block: the epoch moved after the key was captured.
         gate.wait(key);
+    }
+
+    #[test]
+    fn timed_wait_returns_without_a_notification() {
+        let gate = IdleGate::new();
+        let key = gate.prepare_wait();
+        let t0 = std::time::Instant::now();
+        gate.wait_spin_timeout(key, 0, Some(Duration::from_millis(5)));
+        assert!(t0.elapsed() >= Duration::from_millis(4), "slept it out");
+        assert_eq!(gate.sleepers(), 0, "commitment withdrawn on timeout");
+    }
+
+    #[test]
+    fn zeroed_memory_is_a_valid_gate() {
+        // SAFETY: IdleGate is repr(C), all-atomic and zero-valid — the
+        // contract segment-resident instances rely on.
+        let gate: IdleGate = unsafe { std::mem::zeroed() };
+        assert_eq!(std::mem::size_of::<IdleGate>(), 8);
+        let key = gate.prepare_wait();
+        gate.notify_all();
+        gate.wait(key); // must not block
     }
 
     #[test]
@@ -221,7 +273,7 @@ mod tests {
                 })
             })
             .collect();
-        while gate.sleepers() < N as u64 {
+        while gate.sleepers() < N as u32 {
             thread::yield_now();
         }
         gate.notify_all();

@@ -17,9 +17,11 @@
 //! * [`TicketLock`] — a classic FIFO ticket spinlock (baseline for benches).
 //! * [`RawSpinMutex`] — a plain-old-data spinlock suitable for placement
 //!   inside a shared-memory segment (no host pointers, fixed layout).
-//! * [`IdleGate`] — an event-counted gate for idle threads: wait-free
-//!   notification when nobody sleeps, and no lost wakeups without a
-//!   periodic-poll timeout (the runtime's submit→wake path).
+//! * [`IdleGate`] — an event-counted gate for idle threads: two words over
+//!   a shared futex, wait-free notification when nobody sleeps, and no
+//!   lost wakeups without a periodic-poll timeout. Plain-old-data like
+//!   [`RawSpinMutex`], so waiter and waker may be different processes;
+//!   [`CpuGates`] builds the runtime's per-CPU submit→wake path on it.
 //! * [`Backoff`] — bounded exponential backoff helper.
 //! * [`Padded`] — cache-line padding wrapper to avoid false sharing.
 //! * [`Mutex`] / [`Condvar`] — an ergonomic facade over `std::sync` (guard
@@ -37,6 +39,8 @@
 mod backoff;
 mod cpu_gates;
 mod dtlock;
+#[cfg(not(feature = "model"))]
+mod futex;
 pub mod hint;
 mod idle_gate;
 mod mutex;
@@ -46,7 +50,7 @@ mod splitmix;
 mod ticket;
 
 pub use backoff::Backoff;
-pub use cpu_gates::CpuGates;
+pub use cpu_gates::{CpuGateBlock, CpuGates, GATE_MAX_CPUS};
 pub use dtlock::{Acquired, DtGuard, DtLock};
 pub use idle_gate::IdleGate;
 pub use mutex::{Condvar, Mutex, MutexGuard};

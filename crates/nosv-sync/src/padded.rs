@@ -11,7 +11,7 @@ use std::ops::{Deref, DerefMut};
 /// per-CPU slot in the scheduler and the allocator magazine caches is
 /// wrapped in `Padded` so that two CPUs never contend on the same line.
 #[derive(Default)]
-#[repr(align(128))]
+#[repr(C, align(128))]
 pub struct Padded<T> {
     value: T,
 }

@@ -161,7 +161,9 @@ impl RuntimeBuilder {
     /// (`memfd_create`, falling back to `shm_open`) instead of the
     /// in-process heap, so foreign OS processes can co-execute by calling
     /// [`crate::Runtime::join`]`(name)` — the paper's actual deployment
-    /// model (§3.1). The runtime also starts a reactor thread that
+    /// model (§3.1). Guests submit — and wake the workers their tasks
+    /// need — through the shared segment themselves; the runtime also
+    /// starts a reactor thread for what needs host memory: it
     /// acknowledges join handshakes and reclaims tasks of crashed guests.
     ///
     /// Requires OS backing ([`nosv_shmem::os_backing_available`]);
@@ -173,8 +175,14 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Period of the reactor's handshake/liveness sweep (default 2 ms).
-    /// Only meaningful together with [`RuntimeBuilder::segment_name`].
+    /// Period of the reactor's liveness sweep (default 2 ms): how soon a
+    /// guest that died is noticed and its queued tasks reclaimed, and how
+    /// soon a task such a guest published without waking anyone gets a
+    /// worker. It bounds no latency of a *live* guest: joins and detaches
+    /// ring the reactor awake instead of waiting for its next sweep, and
+    /// a guest's submissions and their completions wake their
+    /// counterparts directly. Only meaningful together with
+    /// [`RuntimeBuilder::segment_name`].
     pub fn reclaim_tick(mut self, tick: Duration) -> Self {
         self.config.reclaim_tick_ns = u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX);
         self

@@ -32,12 +32,14 @@ pub(crate) const MAX_SUBMIT_RING_CAP: usize = 1 << 16;
 /// idle lanes cost only their slot arrays.
 pub const DEFAULT_SUBMIT_LANES: usize = 4;
 
-/// Default reactor sweep period: 2 ms keeps join handshakes snappy while
-/// costing one wakeup of a sleeping thread per period.
+/// Default reactor sweep period: how soon a dead guest is noticed and
+/// reclaimed, at the cost of one wakeup of a sleeping thread per period.
+/// Handshakes and round trips do not wait for it (guests wake the reactor
+/// and the workers themselves).
 pub(crate) const DEFAULT_RECLAIM_TICK_NS: u64 = 2_000_000;
 
-/// Default join-handshake timeout: 5 s — generous next to the ~2 ms
-/// reactor tick that normally resolves the wait, short enough that a
+/// Default join-handshake timeout: 5 s — generous next to the pair of
+/// thread wakes that normally resolves the wait, short enough that a
 /// wedged host turns into an error instead of a hang.
 pub(crate) const DEFAULT_JOIN_TIMEOUT_NS: u64 = 5_000_000_000;
 
@@ -77,7 +79,8 @@ pub(crate) struct NosvConfig {
     /// keeps the in-process heap backing.
     pub segment_name: Option<String>,
     /// Period of the host reactor's liveness/handshake sweep in
-    /// nanoseconds (only meaningful with `segment_name`).
+    /// nanoseconds (only meaningful with `segment_name`): how soon a dead
+    /// guest is noticed. Bounds no latency of a live one.
     pub reclaim_tick_ns: u64,
     /// How long a guest's [`crate::Runtime::join`] waits for the host to
     /// publish its geometry and acknowledge the handshake. Published to

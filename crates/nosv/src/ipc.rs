@@ -5,18 +5,28 @@
 //! (`memfd_create`, falling back to `shm_open`) and runs a reactor
 //! thread. A foreign OS process calls [`Runtime::join`] with the same
 //! name and receives a [`GuestProcess`]: an attached registry slot plus
-//! the published geometry block it needs to push task descriptors into
-//! the host scheduler's lock-free submission rings.
+//! the published geometry block it needs to drive the host's scheduler
+//! from outside.
 //!
 //! What a guest can and cannot do follows from what lives where:
 //!
-//! * The segment itself — rings, queues, descriptors, registry, SLAB —
-//!   is shared, so guests allocate descriptors and push them into rings
-//!   directly, with the same lock-free protocol host submissions use.
-//! * Worker futexes, shard delegation locks and the scheduling policy
-//!   live in *host* memory. A guest can neither wake a worker nor drain
-//!   a ring; the host's reactor delivers wakes on guests' behalf every
-//!   tick, and workers drain the rings as usual.
+//! * The segment itself — rings, queues, descriptors, registry, SLAB, and
+//!   the whole *wake surface* (claim table, per-CPU futex gates, standby
+//!   election, hungry count) — is shared. A guest allocates descriptors
+//!   and submits them through exactly the sequence host submissions run:
+//!   claim pass → ring publish → wake. A lone task CASes straight into an
+//!   idle worker's claim slot and notifies that worker's gate — no
+//!   syscall while the standby spins, one `FUTEX_WAKE` when it is parked.
+//! * The way back is the same primitive: the guest's registry slot embeds
+//!   a gate, every completion (and every host-side change of the slot)
+//!   ends by notifying it, and the guest's waits — join ack,
+//!   [`GuestProcess::wait_idle`], detach — sleep on it.
+//! * Worker *threads*, shard delegation locks and the scheduling policy
+//!   live in the host. A guest cannot drain a ring or run a task: the
+//!   host lends guests its kernels, not its wakes. The reactor keeps the
+//!   handshakes (woken through a doorbell gate in the geometry block, not
+//!   by its tick), liveness, and a periodic `has_ready` sweep that only
+//!   matters when a guest is killed between publishing and waking.
 //! * Closures cannot cross the process boundary, so guest tasks are
 //!   *data-described*: a kernel id (resolved against the host's
 //!   [`Runtime::register_kernel`] table) plus one `u64` argument.
@@ -30,11 +40,10 @@ use std::time::{Duration, Instant};
 
 use nosv_shmem::{process_alive, JoinState, ProcessId, ShmSegment, Shoff, CAP_GUEST_JOIN};
 use nosv_sync::hint::crash_point;
-use nosv_sync::Backoff;
 
 use crate::error::NosvError;
 use crate::runtime::Runtime;
-use crate::scheduler::{guest_submit, producer_tag, GuestMeta};
+use crate::scheduler::{producer_tag, GuestMeta, GuestPort};
 use crate::task::{Affinity, TaskDesc, TaskState};
 
 /// Guest-side default for every IPC timeout: what the full-ring submit
@@ -44,6 +53,17 @@ use crate::task::{Affinity, TaskDesc, TaskState};
 /// unavailable too — a host predating the field, or a wait that happens
 /// before the geometry block is mapped.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest a blocked guest sleeps before it looks up to probe the host's
+/// pid: a guest whose host was killed learns it within this, however long
+/// its own timeout.
+const PROBE_PERIOD: Duration = Duration::from_millis(2);
+
+/// Backoff rounds a waiting guest spins on its slot gate before the futex
+/// sleep (the same budget the host's standby worker gets): a round trip
+/// whose kernel is short completes inside the spin, with no kernel
+/// transition on either side.
+const WAIT_SPIN_ROUNDS: u32 = 64;
 
 /// Reads a guest-side `NOSV_IPC_*_TIMEOUT_MS` override (milliseconds).
 /// Unset, empty, unparsable or zero values are ignored. Overrides beat
@@ -66,35 +86,53 @@ fn resolve_timeout(var: &str, published_ns: u64) -> Duration {
     })
 }
 
-/// Bounded exponential backoff for the guest's wait loops: spin briefly
-/// (the host's reactor usually answers within one ~2 ms tick), then
-/// sleep with a doubling period capped at 2 ms — so a wait resolves in
-/// microseconds when the host is fast, and a stalled host costs a few
-/// hundred wakeups per second instead of a hot spin on shared cache
-/// lines.
-struct WaitBackoff {
-    spin: Backoff,
-    sleep: Duration,
+/// Polls `ready` once a millisecond until it holds or `deadline` passes —
+/// for the two words a joining guest reads before it owns a slot (and
+/// with it a gate to sleep on). The host publishes both right after
+/// creating the segment, so this almost never sleeps at all.
+fn poll_until(deadline: Instant, mut ready: impl FnMut() -> bool) -> bool {
+    while !ready() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
 }
 
-impl WaitBackoff {
-    const FIRST_SLEEP: Duration = Duration::from_micros(50);
-    const MAX_SLEEP: Duration = Duration::from_millis(2);
-
-    fn new() -> WaitBackoff {
-        WaitBackoff {
-            spin: Backoff::new(),
-            sleep: WaitBackoff::FIRST_SLEEP,
+/// The one blocking loop of the guest side — join ack, full-ring retry,
+/// [`GuestProcess::wait_idle`] and detach all wait through it: sleep on
+/// slot `me`'s gate until `check` yields a value. The eventcount
+/// discipline (`prepare_wait`, *then* `check`, then wait on the captured
+/// key) means a change the host makes after `check` looked cannot be
+/// slept through, because every such change ends by notifying the gate.
+///
+/// Each sleep is bounded by [`PROBE_PERIOD`], after which the loop bumps
+/// the heartbeat, probes the host's pid ([`NosvError::HostDead`]) and
+/// checks `deadline` ([`NosvError::WaitTimeout`]).
+pub(crate) fn wait_on_slot<T>(
+    seg: &ShmSegment,
+    me: ProcessId,
+    host_os_pid: u64,
+    deadline: Instant,
+    mut check: impl FnMut() -> Option<T>,
+) -> Result<T, NosvError> {
+    let gate = seg.slot_gate(me.slot);
+    loop {
+        let key = gate.prepare_wait();
+        if let Some(value) = check() {
+            return Ok(value);
         }
-    }
-
-    fn wait(&mut self) {
-        if !self.spin.is_yielding() {
-            self.spin.snooze();
-            return;
+        if !process_alive(host_os_pid as u32) {
+            return Err(NosvError::HostDead);
         }
-        std::thread::sleep(self.sleep);
-        self.sleep = (self.sleep * 2).min(WaitBackoff::MAX_SLEEP);
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(NosvError::WaitTimeout);
+        }
+        seg.bump_heartbeat(me);
+        let nap = PROBE_PERIOD.min(deadline - now);
+        gate.wait_spin_timeout(key, WAIT_SPIN_ROUNDS, Some(nap));
     }
 }
 
@@ -106,8 +144,10 @@ impl Runtime {
     /// [`Runtime::attach`]ed (attaching starts the workers that will
     /// execute the guest's tasks).
     ///
-    /// Blocks until the host's reactor acknowledges the attach handshake
-    /// (typically one reactor tick, ~2 ms). Errors:
+    /// Blocks until the host's reactor acknowledges the attach handshake.
+    /// The request rings the reactor's doorbell and the ack wakes this
+    /// thread, so the wait is a pair of thread wakes (tens of
+    /// microseconds), not a reactor tick. Errors:
     ///
     /// * [`NosvError::Segment`] — no such segment, geometry/version
     ///   mismatch, the segment was not created for guest joins, or the
@@ -144,11 +184,10 @@ pub struct GuestProcess {
     seg: ShmSegment,
     me: ProcessId,
     meta: Shoff<GuestMeta>,
-    /// Cached shard count (from [`GuestMeta`]): rings are per-shard and
-    /// a guest thread's unconstrained submissions stick to the shard its
-    /// producer tag hashes to (spilling to the next shard only on a full
-    /// lane).
-    shards: usize,
+    /// The submission path into the host's scheduler, rebuilt from
+    /// [`GuestMeta`]: claim pass, ring publish and wake, the sequence host
+    /// submissions run.
+    port: GuestPort,
     /// OS pid of the host, from [`GuestMeta`]: every blocking guest path
     /// probes it so a dead host turns into [`NosvError::HostDead`]
     /// instead of a full timeout wait.
@@ -175,28 +214,18 @@ impl GuestProcess {
         // The host publishes its geometry block — and then the scheduler
         // root inside it — right after creating the segment; both polls
         // resolve almost immediately unless the host died mid-setup.
-        let mut backoff = WaitBackoff::new();
-        let meta = loop {
-            let m: Shoff<GuestMeta> = seg.user_root();
-            if m.raw() != 0 {
-                break m;
-            }
-            if Instant::now() >= deadline {
-                return Err(NosvError::Segment {
-                    reason: format!("segment '{name}': host never published its geometry"),
-                });
-            }
-            backoff.wait();
-        };
+        if !poll_until(deadline, || seg.user_root::<GuestMeta>().raw() != 0) {
+            return Err(NosvError::Segment {
+                reason: format!("segment '{name}': host never published its geometry"),
+            });
+        }
+        let meta: Shoff<GuestMeta> = seg.user_root();
         // SAFETY: published once, lives as long as the segment itself.
         let m = unsafe { seg.sref(meta) };
-        while m.sched_root.load(Ordering::Acquire) == 0 {
-            if Instant::now() >= deadline {
-                return Err(NosvError::Segment {
-                    reason: format!("segment '{name}': host never published its scheduler"),
-                });
-            }
-            backoff.wait();
+        if !poll_until(deadline, || m.sched_root.load(Ordering::Acquire) != 0) {
+            return Err(NosvError::Segment {
+                reason: format!("segment '{name}': host never published its scheduler"),
+            });
         }
         // The whole geometry block is visible now: adopt the host's
         // configured join timeout (the deadline still counts from entry,
@@ -212,7 +241,9 @@ impl GuestProcess {
             env_timeout_ms("NOSV_IPC_SUBMIT_TIMEOUT_MS").unwrap_or(DEFAULT_TIMEOUT);
         let detach_timeout =
             env_timeout_ms("NOSV_IPC_DETACH_TIMEOUT_MS").unwrap_or(DEFAULT_TIMEOUT);
-        let shards = (m.shards.load(Ordering::Acquire) as usize).max(1);
+        let port = GuestPort::open(&seg, m).ok_or_else(|| NosvError::Segment {
+            reason: format!("segment '{name}': published scheduler geometry is out of range"),
+        })?;
         let me = seg.attach_guest()?;
         // Death here leaves the slot in Requested with a valid record:
         // the reactor's Requested-arm pid probe reclaims it.
@@ -220,36 +251,34 @@ impl GuestProcess {
         // Handshake: the host reactor registers the slot with its
         // scheduler and acknowledges Requested → Active. Submitting
         // before the ack would race slot registration, so we wait.
-        let mut backoff = WaitBackoff::new();
+        m.doorbell.notify_all();
         loop {
-            match seg.join_state(me) {
-                Some(JoinState::Active) => break,
-                Some(JoinState::Requested) => {
-                    // A dead host will never acknowledge; withdrawing
-                    // immediately beats waiting out the deadline. The
-                    // withdraw CAS below keeps the teardown race-safe.
-                    if !process_alive(host_os_pid as u32)
-                        && seg.set_join_state(me, JoinState::Requested, JoinState::Dead)
-                    {
-                        return Err(NosvError::HostDead);
-                    }
-                    if Instant::now() >= deadline {
-                        // Withdraw the request. If the CAS loses, the host
-                        // acked concurrently — loop once more and succeed;
-                        // if it wins, the host's reactor (if it ever comes
-                        // back) reclaims the Dead slot.
-                        if seg.set_join_state(me, JoinState::Requested, JoinState::Dead) {
-                            return Err(NosvError::WaitTimeout);
-                        }
-                    }
-                    backoff.wait();
+            let acked = wait_on_slot(&seg, me, host_os_pid, deadline, || {
+                match seg.join_state(me) {
+                    Some(JoinState::Active) => Some(true),
+                    Some(JoinState::Requested) => None,
+                    // Freed, reused, or declared dead under us: the host
+                    // rejected or tore down the slot.
+                    _ => Some(false),
                 }
-                // Freed, reused, or declared dead under us: the host
-                // rejected or tore down the slot.
-                _ => {
+            });
+            match acked {
+                Ok(true) => break,
+                Ok(false) => {
                     return Err(NosvError::Segment {
                         reason: format!("segment '{name}': join request was torn down"),
                     })
+                }
+                // A dead host will never acknowledge, an overdue one
+                // might: either way withdraw the request. If the CAS
+                // loses, the host acked concurrently — look again and
+                // succeed; if it wins, the host's reactor (if it ever
+                // comes back) reclaims the Dead slot.
+                Err(e) => {
+                    if seg.set_join_state(me, JoinState::Requested, JoinState::Dead) {
+                        m.doorbell.notify_all();
+                        return Err(e);
+                    }
                 }
             }
         }
@@ -257,7 +286,7 @@ impl GuestProcess {
             seg,
             me,
             meta,
-            shards,
+            port,
             host_os_pid,
             submit_timeout,
             detach_timeout,
@@ -321,77 +350,74 @@ impl GuestProcess {
         d.submits.store(1, Ordering::Relaxed);
         d.kernel.store(kernel_id + 1, Ordering::Release);
         d.set_state(TaskState::Ready);
-        // SAFETY: the meta block is published-once host state.
-        let meta = unsafe { self.seg.sref(self.meta) };
-        let deadline = Instant::now() + self.submit_timeout;
-        // Sticky shard routing, same rule as the host's submit path: this
-        // thread's whole stream lands in one shard (and one lane within
-        // it), spilling to the next shard only when its lane is full.
+        // The sequence `Scheduler::submit_batch` and its caller run, over
+        // the same segment words: claim pass (an idle worker takes the
+        // task straight from its claim slot), else ring publish + wake.
+        // Sticky shard routing, same rule as the host's: this thread's
+        // whole stream lands in one shard (and one lane within it),
+        // spilling to the next shard only when its lane is full.
         let tag = producer_tag();
-        let start = (tag % self.shards as u64) as usize;
-        let mut attempt = 0usize;
-        let mut backoff = WaitBackoff::new();
-        loop {
-            let shard = (start + attempt) % self.shards;
-            if guest_submit(&self.seg, meta, shard, self.me.slot as usize, tag, desc) {
-                self.seg.add_submitted(self.me, 1);
-                self.seg.bump_heartbeat(self.me);
-                return Ok(());
-            }
-            attempt += 1;
-            if attempt.is_multiple_of(self.shards) {
-                // Every ring full: the host is not draining. Check we are
-                // still welcome and the host still breathes, back off,
-                // retry.
-                if self.seg.join_state(self.me) != Some(JoinState::Active) {
-                    self.seg.free_t(desc, 0);
-                    return Err(NosvError::ProcessDetached);
+        let shards = self.port.shards();
+        let start = (tag % shards as u64) as usize;
+        let slot = self.me.slot as usize;
+        let publish =
+            || (0..shards).any(|k| self.port.publish((start + k) % shards, slot, tag, desc));
+        if !self.port.claim(desc) && !publish() {
+            // Every ring full: the host is behind. Each task of ours it
+            // completes notifies our slot gate, and a completed task is a
+            // drained ring entry — sleep there between retries, while we
+            // are still welcome and the host still breathes.
+            let deadline = Instant::now() + self.submit_timeout;
+            let queued = self.wait_on_slot(deadline, || {
+                if publish() {
+                    Some(Ok(()))
+                } else if self.seg.join_state(self.me) != Some(JoinState::Active) {
+                    Some(Err(NosvError::ProcessDetached))
+                } else {
+                    None
                 }
-                if !process_alive(self.host_os_pid as u32) {
-                    // Nobody will ever drain these rings again.
-                    self.seg.free_t(desc, 0);
-                    return Err(NosvError::HostDead);
-                }
-                if Instant::now() >= deadline {
-                    self.seg.free_t(desc, 0);
-                    return Err(NosvError::WaitTimeout);
-                }
-                self.seg.bump_heartbeat(self.me);
-                backoff.wait();
+            });
+            if let Err(e) = queued.and_then(|published| published) {
+                self.seg.free_t(desc, 0);
+                return Err(e);
             }
         }
+        self.seg.add_submitted(self.me, 1);
+        self.seg.bump_heartbeat(self.me);
+        Ok(())
+    }
+
+    /// [`wait_on_slot`] on this guest's own slot.
+    fn wait_on_slot<T>(
+        &self,
+        deadline: Instant,
+        check: impl FnMut() -> Option<T>,
+    ) -> Result<T, NosvError> {
+        wait_on_slot(&self.seg, self.me, self.host_os_pid, deadline, check)
     }
 
     /// Waits until every task this guest submitted has completed.
     ///
-    /// Polls the registry's submitted/completed counters, bumping the
-    /// liveness heartbeat on the way. Returns
-    /// [`NosvError::WaitTimeout`] when `timeout` elapses first,
-    /// [`NosvError::ProcessDetached`] if the slot was torn down (e.g.
-    /// the host declared this guest dead), and [`NosvError::HostDead`]
-    /// if the host process died with tasks still pending (they will
-    /// never complete).
+    /// Sleeps on the slot's gate, which every completion notifies —
+    /// returning at once when nothing is pending — and looks up every
+    /// couple of milliseconds to bump the liveness heartbeat and probe the
+    /// host. Returns [`NosvError::WaitTimeout`] when `timeout` elapses
+    /// first, [`NosvError::ProcessDetached`] if the slot was torn down
+    /// (e.g. the host declared this guest dead), and
+    /// [`NosvError::HostDead`] if the host process died with tasks still
+    /// pending (they will never complete).
     pub fn wait_idle(&self, timeout: Duration) -> Result<(), NosvError> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = WaitBackoff::new();
-        loop {
-            let view = self
+        self.wait_on_slot(Instant::now() + timeout, || {
+            match self
                 .seg
                 .slot_view(self.me.slot)
                 .filter(|v| v.pid == self.me.pid)
-                .ok_or(NosvError::ProcessDetached)?;
-            if view.completed >= view.submitted {
-                return Ok(());
+            {
+                None => Some(Err(NosvError::ProcessDetached)),
+                Some(v) if v.completed >= v.submitted => Some(Ok(())),
+                Some(_) => None,
             }
-            if !process_alive(self.host_os_pid as u32) {
-                return Err(NosvError::HostDead);
-            }
-            if Instant::now() >= deadline {
-                return Err(NosvError::WaitTimeout);
-            }
-            self.seg.bump_heartbeat(self.me);
-            backoff.wait();
-        }
+        })?
     }
 
     /// Detaches cleanly: asks the host to flush this guest's submission
@@ -413,22 +439,19 @@ impl GuestProcess {
             // Not Active anymore: the host tore the slot down already.
             return Ok(());
         }
+        // SAFETY: the meta block is published-once host state.
+        unsafe { self.seg.sref(self.meta) }.doorbell.notify_all();
         let deadline = Instant::now() + self.detach_timeout;
-        let mut backoff = WaitBackoff::new();
         // join_state() goes None once the host frees the slot.
-        while self.seg.join_state(self.me).is_some() {
-            if !process_alive(self.host_os_pid as u32) {
-                // A dead host can no longer drain or release anything;
-                // the segment lives on only as this process's private
-                // mapping, so leaving now is as clean as it gets.
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(NosvError::WaitTimeout);
-            }
-            backoff.wait();
+        match self.wait_on_slot(deadline, || {
+            self.seg.join_state(self.me).is_none().then_some(())
+        }) {
+            // A dead host can no longer drain or release anything; the
+            // segment lives on only as this process's private mapping, so
+            // leaving now is as clean as it gets.
+            Ok(()) | Err(NosvError::HostDead) => Ok(()),
+            Err(e) => Err(e),
         }
-        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nosv_shmem::{process_alive, JoinState, ProcessId, ShmSegment, Shoff, MAX_PROCS};
-use nosv_sync::{CpuGates, Mutex};
+use nosv_sync::{IdleGate, Mutex};
 
 use crate::builder::RuntimeBuilder;
 use crate::config::NosvConfig;
@@ -63,11 +63,6 @@ pub(crate) struct RuntimeInner {
     pub submit_windows: AtomicU64,
     /// Descriptors created but not yet destroyed (leak check).
     pub live_descriptors: AtomicU64,
-    /// Per-CPU wake gates idle workers sleep on (one gate per core, so a
-    /// direct dispatch wakes exactly its target; a single elected standby
-    /// spins briefly before sleeping). Shared with the scheduler, which
-    /// delivers all wakeups.
-    pub gates: Arc<CpuGates>,
     /// Serializes process registration against shutdown (cold paths only;
     /// the submit hot path synchronizes with shutdown via SeqCst atomics
     /// instead — see [`RuntimeInner::submit`]).
@@ -79,10 +74,13 @@ pub(crate) struct RuntimeInner {
     guest_kernels: Mutex<HashMap<u64, GuestKernel>>,
     /// The reactor thread (named segments only): acknowledges guest join
     /// handshakes, completes clean detaches, and reclaims tasks of
-    /// crashed guests. The segment's futexes and the scheduler's
-    /// delegation locks live in host memory, so only a host thread can
-    /// provide these services to foreign processes.
+    /// crashed guests. The scheduler's delegation locks and process table
+    /// live in host memory, so only a host thread can provide these
+    /// services to foreign processes.
     reactor: Mutex<Option<JoinHandle<()>>>,
+    /// The geometry block published to guests (named segments only); the
+    /// reactor sleeps on its doorbell.
+    guest_meta: Option<Shoff<GuestMeta>>,
     next_task_id: AtomicU64,
     workers: Mutex<Vec<Arc<WorkerShared>>>,
     joins: Mutex<Vec<JoinHandle<()>>>,
@@ -429,12 +427,21 @@ impl RuntimeInner {
                 JoinState::Dead => self.crash_reclaim(id, view.os_pid),
             }
         }
-        // Guests cannot operate the host-memory futexes workers sleep on;
-        // if their submissions are sitting in queues while every worker
-        // sleeps, deliver the wake on their behalf.
+        // The crash backstop of the data path: guests wake workers
+        // themselves, but one killed between publishing a task and waking
+        // anyone (`ipc.submit.published`) leaves ready work with every
+        // worker asleep until its slot is reclaimed.
         if self.sched.has_ready() {
             self.sched.wake_for(Affinity::None);
         }
+    }
+
+    /// The reactor's doorbell (named segments only).
+    fn doorbell(&self) -> Option<&IdleGate> {
+        self.guest_meta.map(|meta| {
+            // SAFETY: published once at construction, never freed.
+            &unsafe { self.seg.sref(meta) }.doorbell
+        })
     }
 
     /// Reclaims everything a dead guest left behind: drains its rings,
@@ -460,18 +467,38 @@ impl RuntimeInner {
         // repaired `ready`, and the leaked bumps had no descriptor behind
         // them to free or report.
         self.emit(ObsKind::CrashReclaim, NO_CPU, os_pid, TaskId(0));
+        // The corpse may have deposited a task into a parked CPU's claim
+        // slot and died before notifying it (`claim.deposit.unnotified`).
+        // The deposit cleared the CPU's armed bit, so the bitmap cannot
+        // say which: notify every gate. The owner's disarm consumes the
+        // deposit; everyone else re-parks.
+        self.sched.gates().notify_all();
+        // Killed in its sleep, it also left its slot gate's sleeper count
+        // raised; nobody of that process is left to lower it.
+        self.seg.slot_gate(id.slot).forget_sleepers();
         self.seg.detach(id);
     }
 }
 
 /// Reactor thread body (named segments only); see
 /// [`RuntimeInner::reactor_tick`].
+///
+/// Sleeps on the doorbell between sweeps: a guest that needs the reactor
+/// (join request, clean detach) rings it and is served at once, and
+/// `reclaim_tick` is only the period of the sweeps nobody asks for —
+/// liveness probes and the crash backstop.
 fn reactor_main(rt: Arc<RuntimeInner>) {
     let tick = Duration::from_nanos(rt.config.reclaim_tick_ns);
+    let doorbell = rt.doorbell().expect("reactor without a geometry block");
     let mut half_open_since: HashMap<u32, Instant> = HashMap::new();
-    while !rt.shutdown.load(Ordering::Acquire) {
+    loop {
+        // Key before the sweep: a ring during it is not slept through.
+        let key = doorbell.prepare_wait();
+        if rt.shutdown.load(Ordering::Acquire) {
+            break;
+        }
         rt.reactor_tick(&mut half_open_since);
-        std::thread::sleep(tick);
+        doorbell.wait_spin_timeout(key, 0, Some(tick));
     }
 }
 
@@ -531,8 +558,29 @@ impl Runtime {
             }
             None => ShmSegment::create(config.segment_config()),
         };
-        let gates = Arc::new(CpuGates::new(config.cpus));
-        let sched = Scheduler::new(seg.clone(), &config, policy, Arc::clone(&gates))?;
+        let sched = Scheduler::new(seg.clone(), &config, policy)?;
+        let guest_meta = if config.segment_name.is_some() {
+            // Publish the geometry guests need to drive the scheduler
+            // from outside (they rederive everything else from the
+            // segment header). All fields are stored before the
+            // scheduler root (Release, last inside `publish`), and
+            // that before the user-root CAS publishes the block.
+            let meta: Shoff<GuestMeta> = seg
+                .alloc_zeroed(std::mem::size_of::<GuestMeta>(), 0)?
+                .cast();
+            // SAFETY: freshly allocated zeroed block, exclusively ours
+            // until published.
+            let m = unsafe { seg.sref(meta) };
+            m.host_os_pid
+                .store(std::process::id() as u64, Ordering::Relaxed);
+            m.join_timeout_ns
+                .store(config.join_timeout_ns, Ordering::Relaxed);
+            sched.publish(m);
+            seg.init_user_root_once(|| meta);
+            Some(meta)
+        } else {
+            None
+        };
         let inner = Arc::new(RuntimeInner {
             seg,
             sched,
@@ -542,11 +590,11 @@ impl Runtime {
             submit_inflight: AtomicU64::new(0),
             submit_windows: AtomicU64::new(0),
             live_descriptors: AtomicU64::new(0),
-            gates,
             life_mutex: Mutex::new(()),
             obs: ObsCollector::new(sink),
             guest_kernels: Mutex::new(HashMap::new()),
             reactor: Mutex::new(None),
+            guest_meta,
             next_task_id: AtomicU64::new(1),
             workers: Mutex::new(Vec::new()),
             joins: Mutex::new(Vec::new()),
@@ -555,29 +603,7 @@ impl Runtime {
             start: Instant::now(),
             config,
         });
-        if inner.config.segment_name.is_some() {
-            // Publish the geometry guests need to drive the scheduler
-            // from outside (they rederive everything else from the
-            // segment header). All fields are stored before the
-            // user-root CAS (Release) publishes the block.
-            let meta: Shoff<GuestMeta> = inner
-                .seg
-                .alloc_zeroed(std::mem::size_of::<GuestMeta>(), 0)?
-                .cast();
-            // SAFETY: freshly allocated zeroed block, exclusively ours
-            // until published.
-            let m = unsafe { inner.seg.sref(meta) };
-            m.shards
-                .store(inner.sched.shard_count() as u64, Ordering::Relaxed);
-            m.ring_cap
-                .store(inner.config.submit_ring_cap as u64, Ordering::Relaxed);
-            m.host_os_pid
-                .store(std::process::id() as u64, Ordering::Relaxed);
-            m.join_timeout_ns
-                .store(inner.config.join_timeout_ns, Ordering::Relaxed);
-            m.sched_root
-                .store(inner.sched.root_raw(), Ordering::Release);
-            inner.seg.init_user_root_once(|| meta);
+        if inner.guest_meta.is_some() {
             let rt = Arc::clone(&inner);
             let handle = std::thread::Builder::new()
                 .name("nosv-reactor".to_string())
@@ -639,9 +665,10 @@ impl Runtime {
 
     /// Snapshot of the runtime counters.
     pub fn stats(&self) -> RuntimeStats {
-        self.inner
-            .counters
-            .snapshot_with(&self.inner.gates, self.inner.sched.dtlock_evictions())
+        self.inner.counters.snapshot_with(
+            self.inner.sched.gates(),
+            self.inner.sched.dtlock_evictions(),
+        )
     }
 
     /// Snapshot of the shared scheduler's queues and per-core process
@@ -734,14 +761,18 @@ impl Runtime {
             return;
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // The reactor exits within one tick of the flag; joining it first
-        // means no attach/reclaim can interleave with worker teardown.
+        // Ring the reactor out of its sleep so it observes the flag; joining
+        // it first means no attach/reclaim can interleave with worker
+        // teardown.
+        if let Some(doorbell) = self.inner.doorbell() {
+            doorbell.notify_all();
+        }
         if let Some(reactor) = self.inner.reactor.lock().take() {
             let _ = reactor.join();
         }
         // Wake every idle worker so it observes the flag; the gates' epoch
         // bumps catch workers between their flag check and their sleep.
-        self.inner.gates.notify_all();
+        self.inner.sched.gates().notify_all();
         for w in self.inner.workers.lock().iter() {
             w.signal_shutdown();
         }
@@ -753,10 +784,10 @@ impl Runtime {
         // holds the complete action stream. Report the final counter deltas
         // through the same stream and let the sink materialize its output.
         if self.inner.obs.enabled() {
-            let stats = self
-                .inner
-                .counters
-                .snapshot_with(&self.inner.gates, self.inner.sched.dtlock_evictions());
+            let stats = self.inner.counters.snapshot_with(
+                self.inner.sched.gates(),
+                self.inner.sched.dtlock_evictions(),
+            );
             for (counter, delta) in [
                 (CounterKind::TasksExecuted, stats.tasks_executed),
                 (CounterKind::TasksSubmitted, stats.tasks_submitted),

@@ -4,10 +4,10 @@
 //! stealing.
 
 use std::cell::RefCell;
-use std::sync::atomic::Ordering;
 
 use nosv_core::{Pick, PickSource, SchedCore, STEAL_SCAN_LIMIT};
 use nosv_shmem::Shoff;
+use nosv_sync::hint::Ordering;
 use nosv_sync::{Acquired, DtGuard};
 
 use super::{ReadyTask, Scheduler};
@@ -28,12 +28,12 @@ impl Scheduler {
     /// [`Scheduler::wake_for`]. Called by the worker pull loop around
     /// [`Scheduler::get_task`].
     pub(crate) fn begin_fetch(&self) {
-        self.hungry.fetch_add(1, Ordering::SeqCst);
+        self.root().hungry.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Ends the window opened by [`Scheduler::begin_fetch`].
     pub(crate) fn end_fetch(&self) {
-        self.hungry.fetch_sub(1, Ordering::SeqCst);
+        self.root().hungry.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Moves every ring entry of `shard` into its destination queue.
@@ -119,7 +119,7 @@ impl Scheduler {
         if !self.has_ready() {
             return None;
         }
-        let cpu = cpu % self.cpus;
+        let cpu = cpu % self.wake.cpus;
         let home = self.map.shard_of_cpu(cpu);
         let mine = match self.shards[home].acquire(cpu as u64) {
             Acquired::Served(task) => {
@@ -171,7 +171,7 @@ impl Scheduler {
         deferred: &mut Vec<ObsEvent>,
     ) {
         while let Some(meta) = guard.next_waiter_meta() {
-            let waiter_cpu = meta as usize % self.cpus;
+            let waiter_cpu = meta as usize % self.wake.cpus;
             let task = if self.map.shard_of_cpu(waiter_cpu) == shard {
                 self.pick_for_cpu(guard, shard, waiter_cpu, now_ns, counters, obs, deferred)
             } else {
@@ -313,7 +313,7 @@ impl Scheduler {
                     let d = unsafe { self.seg.sref(task) };
                     deferred.push(ObsEvent {
                         t_ns: now_ns,
-                        cpu: (cpu % self.cpus) as u32,
+                        cpu: (cpu % self.wake.cpus) as u32,
                         pid,
                         task: TaskId(d.id.load(Ordering::Relaxed)),
                         kind: ObsKind::Steal,

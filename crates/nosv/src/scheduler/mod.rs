@@ -64,23 +64,28 @@
 //!   preallocated, deferred observability events reuse a thread-local
 //!   buffer.
 
+#[cfg(test)]
+mod compose;
 mod fetch;
 mod registry;
 mod submit;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nosv_core::{QueueId, SchedCore, SchedPolicy, ShardMap, TaskStore, MAX_SHARDS};
 use nosv_shmem::{ClaimTable, LaneRing, ShmSegment, Shoff, MAX_PROCS};
-use nosv_sync::{CpuGates, DtGuard, DtLock};
+// The shell's own shared words come from the `hint` facade like the
+// protocol crates' do, so the composition model suite (`compose`) can
+// interleave them; in a normal build these are the `std` types.
+use nosv_sync::hint::{AtomicU64, Ordering};
+use nosv_sync::{CpuGateBlock, CpuGates, DtGuard, DtLock, IdleGate, Padded};
 
 use crate::config::NosvConfig;
 use crate::error::NosvError;
 use crate::queue::TaskQueue;
 use crate::task::{Affinity, TaskDesc};
 
-pub(crate) use submit::guest_submit;
+pub(crate) use submit::GuestPort;
 
 /// Maximum cores the in-segment scheduler arrays are sized for.
 pub(crate) const MAX_CPUS: usize = 256;
@@ -90,6 +95,7 @@ pub(crate) const MAX_NUMA: usize = 16;
 const _: () = assert!(MAX_PROCS <= 64 && MAX_NUMA <= 64);
 const _: () = assert!(MAX_NUMA <= MAX_SHARDS && MAX_SHARDS <= 64);
 const _: () = assert!(MAX_CPUS <= nosv_shmem::CLAIM_MAX_CPUS);
+const _: () = assert!(MAX_CPUS <= nosv_sync::GATE_MAX_CPUS);
 
 /// Direct-dispatch claim attempts per submission before falling back to
 /// the ring path (bounds the CAS traffic a burst of submitters can spend
@@ -157,8 +163,29 @@ struct ShardHot {
 #[repr(C)]
 struct SchedRoot {
     shard_hot: [ShardHot; MAX_SHARDS],
-    /// Idle-CPU claim table (direct dispatch).
+    /// Idle-CPU claim table (direct dispatch). With `hungry` and `gates`
+    /// below it forms the *wake surface*: everything the wake decisions
+    /// ([`WakeSurface::claim_pass`], [`WakeSurface::wake_for`]) read, in
+    /// the segment so that every attached process decides — and wakes —
+    /// for itself. What a submitter touches of it (the armed bitmap, the
+    /// standby's slot and gate, `hungry`, the election word) sits within
+    /// a few KB of `shard_hot`, which it writes anyway: a guest maps one
+    /// or two more pages for it, not one per field.
     claim: ClaimTable,
+    /// Workers currently inside a fetch ([`Scheduler::get_task`], between
+    /// tasks). A hungry worker is guaranteed to observe freshly queued
+    /// work before it can commit to sleep (the park path re-checks
+    /// `has_ready` after arming), so stealable submissions skip their
+    /// wake entirely while anyone is hungry — a busy runtime absorbs a
+    /// burst with zero wake traffic. Workers executing task bodies do
+    /// *not* count (a long body must not suppress wakes of sleepers).
+    /// Written by workers only; submitters of any process read it. On a
+    /// line of its own: every worker RMWs it twice per fetch, and the wake
+    /// surface around it is written only on park transitions.
+    hungry: Padded<AtomicU64>,
+    /// The per-CPU gates idle workers sleep on, and the standby election.
+    /// Workers (host threads) wait; any process notifies.
+    gates: CpuGateBlock,
     procs: [ProcSched; MAX_PROCS],
     cores: [TaskQueue; MAX_CPUS],
     numas: [TaskQueue; MAX_NUMA],
@@ -168,8 +195,8 @@ struct SchedRoot {
 /// of a *named* segment and published through the header's user-root
 /// anchor ([`ShmSegment::init_user_root_once`]). A joining guest rederives
 /// everything it needs to submit — where the scheduler root lives, how
-/// many shards there are, the ring capacity — from this one block; nothing
-/// is exchanged out of band.
+/// many shards there are, how to read the wake surface — from this one
+/// block; nothing is exchanged out of band.
 #[repr(C)]
 pub(crate) struct GuestMeta {
     /// Raw `Shoff<SchedRoot>`; 0 until the host publishes it (guests poll).
@@ -185,6 +212,17 @@ pub(crate) struct GuestMeta {
     /// it after mapping the block; 0 means "host predates the field" and
     /// falls back to the guest-side default.
     pub join_timeout_ns: AtomicU64,
+    /// CPUs the runtime manages: how much of the claim table and the gate
+    /// block is in use.
+    pub cpus: AtomicU64,
+    /// The host's hardware parallelism, the recruiting cap of the wake
+    /// decisions (see [`WakeSurface`]).
+    pub hw_threads: AtomicU64,
+    /// The reactor's doorbell: the reactor sleeps on it between sweeps,
+    /// and a guest rings it after a registry transition the reactor must
+    /// act on (`Requested`, `Leaving`, a withdrawn join) instead of
+    /// leaving it for the next periodic sweep.
+    pub doorbell: IdleGate,
 }
 
 /// Adapter exposing one shard's view of the shared-segment queues to
@@ -251,6 +289,60 @@ impl TaskStore for ShmStore<'_> {
     }
 }
 
+/// One process's handle on the wake surface in [`SchedRoot`]: the gates
+/// over the in-segment block, plus the published numbers that say how much
+/// of the surface is in use. The host's [`Scheduler`] holds one and so
+/// does every guest ([`GuestPort`]), built from [`GuestMeta`] — which is
+/// what lets both run the same `claim_pass` and `wake_for` (in `submit`).
+pub(crate) struct WakeSurface {
+    /// Per-CPU wake gates over `SchedRoot::gates`.
+    gates: CpuGates,
+    cpus: usize,
+    /// CPUs per NUMA node (`0` = one node). Guests carry `0`: they submit
+    /// only unconstrained work, which never consults it.
+    cpus_per_numa: usize,
+    /// Host hardware parallelism, the cap on wake recruiting: waking more
+    /// workers than the machine can actually run in parallel converts
+    /// batched draining into context-switch thrash.
+    hw_threads: usize,
+}
+
+impl WakeSurface {
+    /// A handle on `root`'s wake surface.
+    ///
+    /// # Safety
+    ///
+    /// `root` must stay mapped at this address for as long as the handle
+    /// is used (its owner keeps a [`ShmSegment`] handle alongside).
+    unsafe fn over(
+        root: &SchedRoot,
+        cpus: usize,
+        cpus_per_numa: usize,
+        hw_threads: usize,
+    ) -> WakeSurface {
+        WakeSurface {
+            // SAFETY: the gate block is part of `root`; forwarded contract.
+            gates: unsafe { CpuGates::over(&root.gates, cpus) },
+            cpus,
+            cpus_per_numa,
+            hw_threads,
+        }
+    }
+
+    /// The CPU index range of a NUMA node (`cpus_per_numa == 0` = one
+    /// node spanning every CPU).
+    fn numa_cpu_range(&self, index: usize) -> (usize, usize) {
+        if self.cpus_per_numa == 0 {
+            (0, self.cpus)
+        } else {
+            (
+                index * self.cpus_per_numa,
+                ((index + 1) * self.cpus_per_numa).min(self.cpus),
+            )
+        }
+    }
+}
+
 pub(crate) struct Scheduler {
     seg: ShmSegment,
     root: Shoff<SchedRoot>,
@@ -260,27 +352,13 @@ pub(crate) struct Scheduler {
     shards: Box<[DtLock<SchedCore, ReadyTask>]>,
     /// The CPU/NUMA/submission → shard mapping (shared with the sim).
     map: ShardMap,
-    cpus: usize,
-    cpus_per_numa: usize,
+    /// This process's handle on the in-segment wake surface.
+    wake: WakeSurface,
     /// Per-process, per-lane submission ring capacity (a power of two;
     /// see [`Scheduler::register_proc`] for what `0` does).
     ring_cap: usize,
     /// Lanes per [`LaneRing`] (a power of two).
     lanes: usize,
-    /// Workers currently inside a fetch ([`Scheduler::get_task`], between
-    /// tasks). A hungry worker is guaranteed to observe freshly queued
-    /// work before it can commit to sleep (the park path re-checks
-    /// `has_ready` after arming), so stealable submissions skip their
-    /// wake entirely while anyone is hungry — a busy runtime absorbs a
-    /// burst with zero wake traffic. Workers executing task bodies do
-    /// *not* count (a long body must not suppress wakes of sleepers).
-    hungry: AtomicU64,
-    /// Per-CPU wake gates (host side of the claim table).
-    gates: Arc<CpuGates>,
-    /// Host hardware parallelism, the cap on wake chaining: waking more
-    /// workers than the machine can actually run in parallel converts
-    /// batched draining into context-switch thrash.
-    hw_threads: usize,
     /// The process-selection policy, shared with the simulator backend.
     policy: Arc<dyn SchedPolicy>,
 }
@@ -316,7 +394,6 @@ impl Scheduler {
         seg: ShmSegment,
         config: &NosvConfig,
         policy: Arc<dyn SchedPolicy>,
-        gates: Arc<CpuGates>,
     ) -> Result<Scheduler, NosvError> {
         debug_assert!(config.cpus <= MAX_CPUS, "config validated upstream");
         debug_assert!(config.numa_nodes() <= MAX_NUMA, "config validated upstream");
@@ -326,7 +403,20 @@ impl Scheduler {
             .alloc_zeroed(std::mem::size_of::<SchedRoot>(), 0)?
             .cast();
         // Zeroed SchedRoot is valid: empty queues, uninitialized rings,
-        // no armed CPUs.
+        // no armed CPUs, nobody asleep, nobody hungry.
+        let hw_threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        // SAFETY: allocated above and never freed; `seg`, stored next to
+        // the handle, keeps the mapping alive.
+        let wake = unsafe {
+            WakeSurface::over(
+                seg.sref(root),
+                config.cpus,
+                config.cpus_per_numa,
+                hw_threads,
+            )
+        };
         let shards: Box<[DtLock<SchedCore, ReadyTask>]> = (0..shards_n)
             .map(|_| {
                 let core = SchedCore::new(config.cpus, config.cpus_per_numa, MAX_PROCS);
@@ -340,15 +430,9 @@ impl Scheduler {
             root,
             shards,
             map: ShardMap::new(config.cpus, config.cpus_per_numa, shards_n),
-            cpus: config.cpus,
-            cpus_per_numa: config.cpus_per_numa,
+            wake,
             ring_cap: config.submit_ring_cap,
             lanes: config.resolved_lanes(),
-            hungry: AtomicU64::new(0),
-            gates,
-            hw_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             policy,
         })
     }
@@ -371,10 +455,23 @@ impl Scheduler {
         self.shards.len()
     }
 
-    /// Raw offset of the in-segment scheduler root — the value the host
-    /// publishes in [`GuestMeta::sched_root`] so guests can submit.
-    pub(crate) fn root_raw(&self) -> u64 {
-        self.root.raw()
+    /// Fills in the scheduler's part of the geometry block a host
+    /// publishes for guests ([`GuestPort::open`] reads it back). The root
+    /// offset goes last, with Release: guests poll it, and seeing it
+    /// nonzero means seeing everything stored before it.
+    pub(crate) fn publish(&self, meta: &GuestMeta) {
+        meta.shards
+            .store(self.shards.len() as u64, Ordering::Relaxed);
+        meta.ring_cap.store(self.ring_cap as u64, Ordering::Relaxed);
+        meta.cpus.store(self.wake.cpus as u64, Ordering::Relaxed);
+        meta.hw_threads
+            .store(self.wake.hw_threads as u64, Ordering::Relaxed);
+        meta.sched_root.store(self.root.raw(), Ordering::Release);
+    }
+
+    /// The per-CPU wake gates (election statistics, shutdown's wake-all).
+    pub(crate) fn gates(&self) -> &CpuGates {
+        &self.wake.gates
     }
 
     /// Dead waiters evicted across all shard delegation locks (feeds
@@ -406,17 +503,34 @@ impl Scheduler {
         self.root().claim.disarm(cpu).map(Shoff::from_raw)
     }
 
-    /// The CPU index range of a NUMA node (`cpus_per_numa == 0` = one
-    /// node spanning every CPU).
-    fn numa_cpu_range(&self, index: usize) -> (usize, usize) {
-        if self.cpus_per_numa == 0 {
-            (0, self.cpus)
-        } else {
-            (
-                index * self.cpus_per_numa,
-                ((index + 1) * self.cpus_per_numa).min(self.cpus),
-            )
+    /// Parks `cpu`'s idle worker until something is addressed to it, and
+    /// returns the task a direct dispatch deposited meanwhile, if any. The
+    /// park protocol (direct dispatch + lost-wakeup safety):
+    ///
+    /// 1. capture this CPU's gate epoch *first* — any notification after
+    ///    this point (a claim deposit, a queued submission's targeted
+    ///    wake, shutdown) makes the eventual wait return immediately;
+    /// 2. arm the claim slot — from here on a submission may CAS its task
+    ///    straight to us;
+    /// 3. re-check `stop` and ready work. Arming and the ready counters
+    ///    are SeqCst on both sides (Dekker), so a racing submitter either
+    ///    sees us armed (deposits or wakes us) or we see its task here;
+    /// 4. sleep; on any return, disarm — the swap atomically tells a
+    ///    deposit apart from a plain wake.
+    ///
+    /// Known limitation (pre-dating the sharded park path): `has_ready` is
+    /// global, so while the only queued work is something this CPU can
+    /// never take (a strict task for a busy core elsewhere), idle workers
+    /// re-loop through fetches instead of committing to sleep. Transient —
+    /// it lasts until the unclaimable task is consumed — but a per-CPU
+    /// claimability mask would be needed to sleep through it.
+    pub(crate) fn park_idle(&self, cpu: usize, stop: impl Fn() -> bool) -> Option<ReadyTask> {
+        let key = self.wake.gates.prepare_wait(cpu);
+        self.arm_idle(cpu);
+        if !stop() && !self.has_ready() {
+            self.wake.gates.wait(cpu, key);
         }
+        self.disarm_idle(cpu)
     }
 
     /// Snapshot for observability. Acquires every shard lock in ascending
@@ -439,7 +553,7 @@ impl Scheduler {
                 (guards[0].proc_pid(slot), queued)
             })
             .collect();
-        let per_core_pid = (0..self.cpus)
+        let per_core_pid = (0..self.wake.cpus)
             .map(|c| guards[self.map.shard_of_cpu(c)].core_pid(c))
             .collect();
         SchedulerSnapshot {
@@ -548,8 +662,7 @@ mod testutil {
             ..Default::default()
         };
         let policy = Arc::new(crate::policy::QuantumPolicy::new(quantum_ns));
-        let gates = Arc::new(CpuGates::new(cpus));
-        let sched = Scheduler::new(seg.clone(), &cfg, policy, gates).expect("segment fits");
+        let sched = Scheduler::new(seg.clone(), &cfg, policy).expect("segment fits");
         (seg, sched)
     }
 

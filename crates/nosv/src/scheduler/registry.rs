@@ -2,9 +2,8 @@
 //! unregistration, and the forced reclaim of a dead (or cancelled)
 //! process's queued work.
 
-use std::sync::atomic::Ordering;
-
 use nosv_shmem::Shoff;
+use nosv_sync::hint::Ordering;
 
 use super::{ReadyTask, Scheduler};
 use crate::error::NosvError;

@@ -1,15 +1,15 @@
-//! The producer side of the scheduler shell: the one ring-publish
-//! sequence (shared by host submissions and guest processes), the claim
-//! pass that hands tasks straight to idle CPUs, the batch-shaped
-//! [`Scheduler::submit_batch`] entry point, and the wakes a queued
-//! submission owes.
-
-use std::sync::atomic::Ordering;
+//! The producer side of the scheduler shell: the claim pass that hands
+//! tasks straight to idle CPUs, the one ring-publish sequence, and the
+//! wake a queued submission owes — one body each, functions of segment
+//! state, run by the host's [`Scheduler::submit_batch`] and by guest
+//! processes ([`GuestPort`]) alike.
 
 use nosv_shmem::{ShmSegment, Shoff};
-use nosv_sync::hint::crash_point;
+use nosv_sync::hint::{crash_point, Ordering};
 
-use super::{BatchSubmit, GuestMeta, ReadyTask, SchedRoot, Scheduler, CLAIM_ATTEMPTS};
+use super::{
+    BatchSubmit, GuestMeta, ReadyTask, SchedRoot, Scheduler, WakeSurface, CLAIM_ATTEMPTS, MAX_CPUS,
+};
 use crate::task::{Affinity, TaskDesc};
 
 /// Publishes `raws` (raw descriptor offsets, all of process `slot`) into
@@ -39,7 +39,7 @@ use crate::task::{Affinity, TaskDesc};
 /// counted in both `contrib` and `ready`, and what happens to it is the
 /// caller's policy: the host moves it under the shard lock
 /// ([`Scheduler::submit_batch`]), a guest rolls it back and retries
-/// ([`guest_submit`]).
+/// ([`GuestPort::publish`]).
 fn ring_publish(
     seg: &ShmSegment,
     root: &SchedRoot,
@@ -71,34 +71,96 @@ fn ring_publish(
     pushed
 }
 
-/// Pushes a guest task into the scheduler's lock-free submission machinery
-/// — [`ring_publish`] as a free function over the published geometry,
-/// because a guest process has no [`Scheduler`] instance (the shard locks,
-/// claim gates and policy are host-heap state it cannot reach).
-/// `submitter` is the guest thread's [`super::producer_tag`], selecting
-/// its lane. Returns `false` on a full lane **after rolling the counters
-/// back** — a guest has no locked fallback, so the caller retries with
-/// backoff.
-pub(crate) fn guest_submit(
-    seg: &ShmSegment,
-    meta: &GuestMeta,
-    shard: usize,
-    slot: usize,
-    submitter: u64,
-    task: Shoff<TaskDesc>,
-) -> bool {
-    let root: Shoff<SchedRoot> = Shoff::from_raw(meta.sched_root.load(Ordering::Acquire));
-    debug_assert!(root.raw() != 0, "guest submitted before the host published");
-    // SAFETY: the published root is allocated once and lives until the
-    // segment itself is torn down.
-    let root = unsafe { seg.sref(root) };
-    if ring_publish(seg, root, shard, slot, submitter, &[task.raw()]) == 1 {
-        return true;
+/// A guest process's way into the host's scheduler, rebuilt from the
+/// published [`GuestMeta`]: the in-segment root and a [`WakeSurface`] over
+/// it. A guest has no [`Scheduler`] — the shard locks and the policy are
+/// host-heap state — but submission needs neither: it is the same claim
+/// pass → [`ring_publish`] → `wake_for` sequence
+/// [`Scheduler::submit_batch`] and its caller run, over the same words.
+///
+/// What a guest writes on the wake surface is what that sequence writes:
+/// a claim-slot deposit (the CAS and its hint-bit clear) and gate
+/// notifications. It only *reads* `standby`, `hungry` and the armed bits.
+pub(crate) struct GuestPort {
+    seg: ShmSegment,
+    root: Shoff<SchedRoot>,
+    wake: WakeSurface,
+    shards: usize,
+}
+
+impl GuestPort {
+    /// Opens the port over `seg` once the host has published `meta`
+    /// (`sched_root != 0`, which the caller has waited for). `None` when
+    /// the block describes a scheduler this build cannot drive — numbers
+    /// out of range are a host of a different layout, not something to
+    /// index arrays with.
+    pub(crate) fn open(seg: &ShmSegment, meta: &GuestMeta) -> Option<GuestPort> {
+        let root: Shoff<SchedRoot> = Shoff::from_raw(meta.sched_root.load(Ordering::Acquire));
+        let cpus = meta.cpus.load(Ordering::Relaxed) as usize;
+        let shards = meta.shards.load(Ordering::Relaxed) as usize;
+        let hw_threads = meta.hw_threads.load(Ordering::Relaxed) as usize;
+        if root.raw() == 0
+            || !(1..=MAX_CPUS).contains(&cpus)
+            || !(1..=nosv_core::MAX_SHARDS).contains(&shards)
+            || hw_threads == 0
+        {
+            return None;
+        }
+        // SAFETY: the published root is allocated once and lives until the
+        // segment is torn down; the handle stored next to it keeps this
+        // mapping alive.
+        let wake = unsafe { WakeSurface::over(seg.sref(root), cpus, 0, hw_threads) };
+        Some(GuestPort {
+            seg: seg.clone(),
+            root,
+            wake,
+            shards,
+        })
     }
-    // Roll the optimistic bumps back so has_ready() cannot stick true.
-    root.shard_hot[shard].ready.fetch_sub(1, Ordering::SeqCst);
-    root.procs[slot].contrib[shard].fetch_sub(1, Ordering::SeqCst);
-    false
+
+    fn root(&self) -> &SchedRoot {
+        // SAFETY: see `open`.
+        unsafe { self.seg.sref(self.root) }
+    }
+
+    /// Number of scheduler shards (a guest thread's submissions stick to
+    /// the shard its producer tag hashes to).
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The claim pass for one unconstrained task: `true` = an idle CPU
+    /// owns it now and has been notified; nothing was queued.
+    pub(crate) fn claim(&self, task: Shoff<TaskDesc>) -> bool {
+        self.wake.claim_pass(self.root(), Affinity::None, &[task]) == 1
+    }
+
+    /// Queues `task` of process `slot` in `shard` on `submitter`'s lane
+    /// and issues the wake a queued task owes. Returns `false` on a full
+    /// lane **after rolling the counters back** — a guest has no locked
+    /// fallback, so the caller retries (next shard, then backoff).
+    pub(crate) fn publish(
+        &self,
+        shard: usize,
+        slot: usize,
+        submitter: u64,
+        task: Shoff<TaskDesc>,
+    ) -> bool {
+        let root = self.root();
+        if ring_publish(&self.seg, root, shard, slot, submitter, &[task.raw()]) == 0 {
+            // Roll the optimistic bumps back so has_ready() cannot stick
+            // true.
+            root.shard_hot[shard].ready.fetch_sub(1, Ordering::SeqCst);
+            root.procs[slot].contrib[shard].fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        // Death here leaves a published task nobody was woken for: crash
+        // reclaim drains it with the rest of the corpse's ring, and until
+        // then the reactor's has_ready sweep gets it executed.
+        crash_point("ipc.submit.published");
+        self.wake.wake_for(root, Affinity::None);
+        true
+    }
 }
 
 impl Scheduler {
@@ -107,7 +169,7 @@ impl Scheduler {
     /// in; a single task is a batch of one. The per-submission costs are
     /// paid once per call, whatever the length:
     ///
-    /// * **Claim pass** — [`Scheduler::claim_pass`] hands leading tasks
+    /// * **Claim pass** — [`WakeSurface::claim_pass`] hands leading tasks
     ///   straight to armed CPUs (never queued at all), one gate notify
     ///   each.
     /// * **Ring pass** — the remainder takes one [`ring_publish`]: one
@@ -130,7 +192,7 @@ impl Scheduler {
         slot: usize,
         submitter: u64,
     ) -> BatchSubmit {
-        let direct = self.claim_pass(affinity, tasks);
+        let direct = self.wake.claim_pass(self.root(), affinity, tasks);
         let mut out = BatchSubmit {
             direct: direct as u64,
             ..BatchSubmit::default()
@@ -163,6 +225,45 @@ impl Scheduler {
         out
     }
 
+    /// The wake a queued (ring/locked path) submission owes; see
+    /// [`WakeSurface::wake_for`].
+    pub(crate) fn wake_for(&self, affinity: Affinity) {
+        self.wake.wake_for(self.root(), affinity);
+    }
+
+    /// Wake chaining: the worker pull loop calls this after a
+    /// *successful* fetch, **after** closing its hungry window. The
+    /// hungry-gated wake suppression means a burst may queue N tasks
+    /// with only the workers already awake consuming them; chaining lets
+    /// each successful fetch recruit one more parked CPU — a geometric
+    /// ramp-up — **capped at the host's hardware parallelism**, beyond
+    /// which extra awake workers only thrash an oversubscribed host (the
+    /// committed bench records quantify that collapse).
+    ///
+    /// The ordering closes the suppression race: this runs after
+    /// [`Scheduler::end_fetch`]'s SeqCst decrement, and a submitter
+    /// skips its wake only if it read the hungry count *before* that
+    /// decrement — in which case its SeqCst ready bump precedes this
+    /// call's `has_ready` load, which therefore sees the task. Either
+    /// the submitter wakes someone, or every fetcher it counted on
+    /// re-observes the work here.
+    pub(crate) fn chain_wake(&self) {
+        let (root, wake) = (self.root(), &self.wake);
+        let armed = root.claim.armed_count(wake.cpus).min(wake.cpus);
+        if armed == 0 || wake.cpus - armed >= wake.hw_threads || !self.has_ready() {
+            return;
+        }
+        if let Some(cpu) = wake.preferred_armed_cpu(root) {
+            wake.gates.notify(cpu);
+        }
+    }
+}
+
+/// The wake decisions. Every input is segment state (`root`: the claim
+/// table, the ready counters, `hungry`; the gates behind `self`) or one of
+/// the handle's published numbers, so a guest process reaches the same
+/// verdict as the host would — and delivers it itself.
+impl WakeSurface {
     /// The direct-dispatch attempt: one pass over the armed CPUs of
     /// `affinity`'s placement window, CAS-ing leading tasks into their
     /// claim slots and waking exactly the claimed CPUs. Returns how many
@@ -193,8 +294,13 @@ impl Scheduler {
     ///   outside the window (for strict affinity that is a correctness
     ///   rule; for best-effort the queued remainder batches through one
     ///   server rather than paying one wake per task).
-    fn claim_pass(&self, affinity: Affinity, tasks: &[ReadyTask]) -> usize {
-        let claim = &self.root().claim;
+    pub(super) fn claim_pass(
+        &self,
+        root: &SchedRoot,
+        affinity: Affinity,
+        tasks: &[ReadyTask],
+    ) -> usize {
+        let claim = &root.claim;
         let (lo, hi, strict) = match affinity {
             Affinity::Core { index, strict } => (index, index + 1, strict),
             Affinity::Numa { index, strict } => {
@@ -202,6 +308,17 @@ impl Scheduler {
                 (lo, hi, strict)
             }
             Affinity::None => (0, self.cpus, false),
+        };
+        let deposit = |cpu: usize, task: ReadyTask| {
+            if !claim.try_claim(cpu, task.raw()) {
+                return false;
+            }
+            // Death here strands a task in the slot of a CPU nobody
+            // woke: crash reclaim of the depositor notifies every gate,
+            // and the woken owner's disarm consumes it.
+            crash_point("claim.deposit.unnotified");
+            self.gates.notify(cpu);
+            true
         };
         let lone = tasks.len() == 1;
         let mut handed = 0usize;
@@ -215,16 +332,15 @@ impl Scheduler {
                 if handed == budget {
                     break;
                 }
-                if claim.try_claim(cpu, tasks[handed].raw()) {
-                    self.gates.notify(cpu);
+                if deposit(cpu, tasks[handed]) {
                     handed += 1;
                 }
             }
         }
         if lone && handed == 0 && !strict {
+            // `standby()` only ever names a CPU below `self.cpus`.
             if let Some(cpu) = self.gates.standby() {
-                if cpu < self.cpus && claim.try_claim(cpu, tasks[0].raw()) {
-                    self.gates.notify(cpu);
+                if deposit(cpu, tasks[0]) {
                     handed = 1;
                 }
             }
@@ -242,13 +358,19 @@ impl Scheduler {
     /// sleep — so a busy runtime absorbs queued submissions with **zero**
     /// wake cost. No armed CPUs at all means nobody is committed to
     /// sleeping either.
-    pub(crate) fn wake_for(&self, affinity: Affinity) {
-        let claim = &self.root().claim;
+    pub(super) fn wake_for(&self, root: &SchedRoot, affinity: Affinity) {
+        let claim = &root.claim;
         let wake_any_unless_hungry = || {
-            if self.hungry.load(Ordering::SeqCst) > 0 {
+            // Cheapest verdict first: the armed bitmap is written only on
+            // park transitions, so a saturated submitter reads a line it
+            // already shares — and with nobody armed there is nobody to
+            // notify, whatever `hungry` says. Only then the hungry count,
+            // a line every worker RMWs twice per fetch.
+            let armed = claim.armed_count(self.cpus).min(self.cpus);
+            if armed == 0 || root.hungry.load(Ordering::SeqCst) > 0 {
                 return;
             }
-            // Recruiting cap, same rule as `chain_wake`: once `hw_threads`
+            // Recruiting cap, same rule as [`Scheduler::chain_wake`]: once `hw_threads`
             // workers are already awake the hardware is saturated and an
             // extra wake only adds preemption — on an oversubscribed host
             // the un-capped wake made every submission futex-ping-pong
@@ -259,11 +381,10 @@ impl Scheduler {
             // awake worker only commits to sleep after arming *and*
             // re-checking `has_ready`, which observes our SeqCst ready
             // bump.
-            let armed = claim.armed_count(self.cpus).min(self.cpus);
             if self.cpus - armed >= self.hw_threads {
                 return;
             }
-            if let Some(cpu) = self.preferred_armed_cpu() {
+            if let Some(cpu) = self.preferred_armed_cpu(root) {
                 self.gates.notify(cpu);
             }
         };
@@ -294,40 +415,12 @@ impl Scheduler {
         }
     }
 
-    /// Wake chaining: the worker pull loop calls this after a
-    /// *successful* fetch, **after** closing its hungry window. The
-    /// hungry-gated wake suppression means a burst may queue N tasks
-    /// with only the workers already awake consuming them; chaining lets
-    /// each successful fetch recruit one more parked CPU — a geometric
-    /// ramp-up — **capped at the host's hardware parallelism**, beyond
-    /// which extra awake workers only thrash an oversubscribed host (the
-    /// committed bench records quantify that collapse).
-    ///
-    /// The ordering closes the suppression race: this runs after
-    /// [`Scheduler::end_fetch`]'s SeqCst decrement, and a submitter
-    /// skips its wake only if it read the hungry count *before* that
-    /// decrement — in which case its SeqCst ready bump precedes this
-    /// call's `has_ready` load, which therefore sees the task. Either
-    /// the submitter wakes someone, or every fetcher it counted on
-    /// re-observes the work here.
-    pub(crate) fn chain_wake(&self) {
-        let claim = &self.root().claim;
-        let armed = claim.armed_count(self.cpus).min(self.cpus);
-        if armed == 0 || self.cpus - armed >= self.hw_threads || !self.has_ready() {
-            return;
-        }
-        if let Some(cpu) = self.preferred_armed_cpu() {
-            self.gates.notify(cpu);
-        }
-    }
-
     /// The best CPU to wake for can-run-anywhere work: the standby (its
     /// gate wake is futex-free while it spins), else the lowest armed.
-    fn preferred_armed_cpu(&self) -> Option<usize> {
+    fn preferred_armed_cpu(&self, root: &SchedRoot) -> Option<usize> {
         self.gates
             .standby()
-            .filter(|&c| c < self.cpus)
-            .or_else(|| self.root().claim.armed_in(0, self.cpus).next())
+            .or_else(|| root.claim.armed_in(0, self.cpus).next())
     }
 }
 

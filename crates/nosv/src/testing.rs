@@ -73,14 +73,8 @@ impl LiveDriver {
             sched_shards,
             ..Default::default()
         };
-        let gates = Arc::new(nosv_sync::CpuGates::new(cpus));
-        let sched = Scheduler::new(
-            seg.clone(),
-            &cfg,
-            Arc::new(QuantumPolicy::new(quantum_ns)),
-            gates,
-        )
-        .expect("segment fits");
+        let sched = Scheduler::new(seg.clone(), &cfg, Arc::new(QuantumPolicy::new(quantum_ns)))
+            .expect("segment fits");
         LiveDriver {
             seg,
             sched,

@@ -279,50 +279,12 @@ fn pull_loop(rt: &Arc<RuntimeInner>, me: &Arc<WorkerShared>) -> LoopExit {
                 // Idle: about to block, so make buffered trace events
                 // visible first (an idle worker may sleep indefinitely).
                 obs_flush_local();
-                // Park protocol (direct dispatch + lost-wakeup safety):
-                //
-                // 1. capture this core's gate epoch *first* — any
-                //    notification after this point (a claim deposit, a
-                //    queued submission's targeted wake, shutdown) makes
-                //    the eventual `wait` return immediately;
-                // 2. arm the claim slot — from here on a submission may
-                //    CAS its task straight to us;
-                // 3. re-check shutdown and ready work. Arming and the
-                //    ready counters are SeqCst on both sides (Dekker), so
-                //    a racing submitter either sees us armed (deposits or
-                //    wakes us) or we see its task here;
-                // 4. sleep; on any return, disarm — the swap atomically
-                //    tells a deposit apart from a plain wake.
-                let key = rt.gates.prepare_wait(core);
-                rt.sched.arm_idle(core);
-                if rt.shutdown.load(Ordering::Acquire) {
-                    // A racing deposit is impossible in an orderly
-                    // shutdown (no tasks pending); on the unclean path a
-                    // dropped deposit is no worse than a dropped queue.
-                    let _ = rt.sched.disarm_idle(core);
-                    return LoopExit::Shutdown;
-                }
-                // Known limitation (pre-dating the sharded park path):
-                // has_ready is global, so while the only queued work is
-                // something this CPU can never take (a strict task for a
-                // busy core elsewhere), idle workers re-loop through
-                // fetches instead of committing to sleep. Transient —
-                // it lasts until the unclaimable task is consumed — but a
-                // per-CPU claimability mask would be needed to sleep
-                // through it.
-                if rt.sched.has_ready() {
-                    match rt.sched.disarm_idle(core) {
-                        Some(task) => {
-                            if let Some(exit) = run_fetched(rt, me, core, task) {
-                                return exit;
-                            }
-                        }
-                        None => continue,
-                    }
-                    continue;
-                }
-                rt.gates.wait(core, key);
-                if let Some(task) = rt.sched.disarm_idle(core) {
+                // Park (see Scheduler::park_idle for the protocol). It
+                // returns on any notification, on ready work and on
+                // shutdown — the loop head sorts out which — and hands
+                // over the task a direct dispatch deposited meanwhile.
+                let stop = || rt.shutdown.load(Ordering::Acquire);
+                if let Some(task) = rt.sched.park_idle(core, stop) {
                     if let Some(exit) = run_fetched(rt, me, core, task) {
                         return exit;
                     }

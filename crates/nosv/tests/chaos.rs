@@ -29,18 +29,22 @@ use nosv::prelude::*;
 const KERNEL: u64 = 9;
 
 /// Every crash point a *guest* process can reach: the join/attach path
-/// (`registry.*`, `ipc.*`) and the submission path (`sched.*`, `ring.push`,
-/// `ring.lane`). The host-only points (`ring.push_n.*` batch submission,
-/// `dtlock.*` delegation) are exercised by the model suites instead —
-/// killing the host is the guests' problem, covered by the host-death
-/// probes in `ipc.rs` tests.
+/// (`registry.*`, `ipc.join.*`) and the submission path — the direct
+/// deposit into an idle worker's claim slot (`claim.*`), the ring publish
+/// (`sched.*`, `ring.push`, `ring.lane`) and the gap before the wake that
+/// follows it (`ipc.submit.*`). The host-only points (`ring.push_n.*`
+/// batch submission, `dtlock.*` delegation) are exercised by the model
+/// suites instead — killing the host is the guests' problem, covered by
+/// the host-death probes in `cross_process.rs`.
 const GUEST_POINTS: &[&str] = &[
     "registry.claim.won",
     "registry.record.published",
     "ipc.join.requested",
+    "claim.deposit.unnotified",
     "sched.guest_submit.counted",
     "ring.push.reserved",
     "ring.lane.unmarked",
+    "ipc.submit.published",
 ];
 
 fn seg_name(tag: &str) -> String {
@@ -189,6 +193,15 @@ fn run_point(point: &str) {
             "{point}: no stranded-slot repair recorded: {:?}",
             rt.stats()
         );
+    }
+
+    // A task deposited into a parked CPU's claim slot whose depositor died
+    // before notifying anyone must still run: the reclaim wakes every
+    // gate, and the slot's owner finds the deposit when it disarms.
+    if point == "claim.deposit.unnotified" {
+        await_true(10, &format!("{point}: deposit never consumed"), || {
+            hits.load(Ordering::Relaxed) >= 1
+        });
     }
 
     // The host keeps doing its own work over the repaired state.

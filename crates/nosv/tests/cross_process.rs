@@ -1,8 +1,10 @@
 //! True cross-OS-process co-execution over a named segment: join
-//! handshake, guest submission, and crash reclaim after a SIGKILL.
+//! handshake, guest submission, cross-process wakes in both directions,
+//! crash reclaim after a SIGKILLed guest, and a guest outliving a
+//! SIGKILLed host.
 //!
-//! Each host test re-invokes this very test binary as the guest process
-//! (filtered to [`guest_mode_entry`]), so no separate guest artifact is
+//! Each test re-invokes this very test binary as the other process
+//! (filtered to [`guest_mode_entry`]), so no separate artifact is
 //! needed. Everything is gated on [`nosv_shmem::os_backing_available`]:
 //! in sandboxes without memfd/shm the tests pass vacuously.
 
@@ -22,16 +24,39 @@ fn seg_name(tag: &str) -> String {
     format!("nosv-test-{tag}-{}", std::process::id())
 }
 
-/// When `NOSV_GUEST_SEG` is set this test *is* the guest process; without
+/// Serial round trips of the `roundtrip` guest.
+const ROUND_TRIPS: u64 = 200;
+/// Reactor sweep period of the host the `roundtrip` guest joins: long
+/// enough that a single wait for it breaks the guest's time bound.
+const SLOW_TICK: Duration = Duration::from_millis(250);
+
+/// When `NOSV_GUEST_SEG` is set this test *is* the other process; without
 /// it (a normal test run) it is a no-op.
 #[test]
 fn guest_mode_entry() {
     let Ok(name) = std::env::var("NOSV_GUEST_SEG") else {
         return;
     };
+    let mode = std::env::var("NOSV_GUEST_MODE").unwrap_or_default();
+    if mode == "host" {
+        // The process a test's guest will outlive: a host whose only
+        // kernel never finishes, parked until the test SIGKILLs it.
+        let rt = Runtime::builder()
+            .cpus(1)
+            .segment_name(name.as_str())
+            .build()
+            .expect("host build failed");
+        rt.register_kernel(KERNEL, |_arg| loop {
+            std::thread::sleep(Duration::from_secs(1));
+        });
+        let _app = rt.attach("doomed-host").expect("host attach failed");
+        loop {
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    }
     let guest = Runtime::join(&name).expect("guest join failed");
-    match std::env::var("NOSV_GUEST_MODE").as_deref() {
-        Ok("clean") => {
+    match mode.as_str() {
+        "clean" => {
             for i in 0..50 {
                 guest.submit(KERNEL, i).expect("guest submit failed");
             }
@@ -40,7 +65,7 @@ fn guest_mode_entry() {
                 .expect("guest tasks never completed");
             guest.detach().expect("clean detach failed");
         }
-        Ok("flood") => {
+        "flood" => {
             // Queue far more work than the host's single slow core can
             // drain, then park until the host SIGKILLs us. submit() may
             // time out once the rings and queues are saturated — that is
@@ -53,6 +78,35 @@ fn guest_mode_entry() {
             loop {
                 std::thread::sleep(Duration::from_secs(1));
             }
+        }
+        "roundtrip" => {
+            // Nothing pending: wait_idle reads the slot and returns. A
+            // sleeping wait costs a probe period (2 ms) at the least;
+            // best-of-five shrugs off a preemption.
+            let idle = (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    guest.wait_idle(Duration::from_secs(30)).expect("idle");
+                    t.elapsed()
+                })
+                .min()
+                .expect("five samples");
+            assert!(idle < Duration::from_millis(1), "idle wait_idle: {idle:?}");
+            // Each trip is a wake across the process boundary and one
+            // back. None of them may wait for the host's reactor.
+            let t = Instant::now();
+            for i in 0..ROUND_TRIPS {
+                guest.submit(KERNEL, i).expect("guest submit failed");
+                guest
+                    .wait_idle(Duration::from_secs(30))
+                    .expect("round trip never completed");
+            }
+            let trips = t.elapsed();
+            assert!(
+                trips < Duration::from_secs(1),
+                "{ROUND_TRIPS} round trips took {trips:?} (host sweeps every {SLOW_TICK:?})"
+            );
+            guest.detach().expect("clean detach failed");
         }
         mode => panic!("unknown NOSV_GUEST_MODE {mode:?}"),
     }
@@ -174,4 +228,83 @@ fn killed_guest_is_reclaimed_and_segment_torn_down() {
         "segment link file {} leaked",
         link.display()
     );
+}
+
+#[test]
+fn child_guest_round_trips_do_not_wait_for_the_reactor_tick() {
+    if !nosv_shmem::os_backing_available() {
+        eprintln!("skipping: no OS shared-memory backing in this environment");
+        return;
+    }
+    let name = seg_name("rtt");
+    let rt = Runtime::builder()
+        .cpus(1)
+        .segment_name(name.as_str())
+        .reclaim_tick(SLOW_TICK)
+        .build()
+        .expect("host build failed");
+    let hits = Arc::new(AtomicU64::new(0));
+    let h = Arc::clone(&hits);
+    rt.register_kernel(KERNEL, move |_arg| {
+        h.fetch_add(1, Ordering::Relaxed);
+    });
+    let app = rt.attach("host-app").expect("host attach failed");
+    // The guest times itself and asserts its own bounds; a blown bound is
+    // a failed child.
+    let status = spawn_guest(&name, "roundtrip")
+        .wait()
+        .expect("guest wait failed");
+    assert!(status.success(), "round-trip guest failed: {status}");
+    assert_eq!(hits.load(Ordering::Relaxed), ROUND_TRIPS);
+    drop(app);
+    rt.shutdown();
+}
+
+/// A guest asleep on its slot gate — a futex wait nobody will ever wake,
+/// since the only process that notifies it is gone — must still notice a
+/// SIGKILLed host: the sleep is bounded by the probe period, not by the
+/// caller's timeout.
+#[test]
+fn futex_blocked_guest_notices_a_killed_host() {
+    if !nosv_shmem::os_backing_available() {
+        eprintln!("skipping: no OS shared-memory backing in this environment");
+        return;
+    }
+    let name = seg_name("hostdead");
+    let mut host = spawn_guest(&name, "host");
+    // The host needs a moment to create the segment and start its reactor.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let guest = loop {
+        match Runtime::join(&name) {
+            Ok(guest) => break guest,
+            Err(e) => assert!(Instant::now() < deadline, "host never came up: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    // One task the host's kernel never finishes: wait_idle has to block.
+    guest.submit(KERNEL, 0).expect("guest submit failed");
+    let killer = std::thread::spawn(move || {
+        // Long past the waiter's spin phase: it sits in the futex by now.
+        std::thread::sleep(Duration::from_millis(100));
+        host.kill().expect("kill failed");
+        // Reaped, the pid is gone for good (a zombie still answers probes).
+        host.wait().expect("wait failed");
+        Instant::now()
+    });
+    let verdict = guest.wait_idle(Duration::from_secs(30));
+    let noticed = Instant::now();
+    let dead_since = killer.join().expect("killer thread panicked");
+    assert_eq!(verdict, Err(NosvError::HostDead));
+    let lag = noticed.saturating_duration_since(dead_since);
+    assert!(
+        lag < Duration::from_millis(250),
+        "guest took {lag:?} to notice its host was gone (probe period is 2 ms)"
+    );
+    // Nobody is left to release the slot; leaving is a no-op that must not
+    // wait out the detach timeout either.
+    let t = Instant::now();
+    guest.detach().expect("detach from a dead host failed");
+    assert!(t.elapsed() < Duration::from_secs(1));
+    // The corpse could not remove its discovery link; do it for it.
+    let _ = std::fs::remove_file(std::env::temp_dir().join(format!("nosv-seg-{name}")));
 }
