@@ -1,13 +1,9 @@
 //! Microbenchmarks and design-choice ablations (criterion-free harness).
 //!
-//! * `dtlock` — the Delegation Ticket Lock against a plain ticket lock and
-//!   `std::sync::Mutex` under producer/consumer contention (§3.4's
-//!   "state-of-the-art performance" claim for the scheduler lock).
+//! * `dtlock` — the Delegation Ticket Lock against `std::sync::Mutex`
+//!   (§3.4's "state-of-the-art performance" claim for the scheduler lock).
 //! * `shmem_alloc` — the in-segment SLAB allocator against the system
-//!   allocator, including the cross-process free path (§3.5's
-//!   "competitive with other memory allocators").
-//! * `task_lifecycle` — `nosv_create`+`submit`+run+`destroy` end-to-end
-//!   latency (the overhead Fig. 5's small-granularity points stress).
+//!   allocator (§3.5's "competitive with other memory allocators").
 //! * `quantum` — scheduler ablation: context-switch count as a function of
 //!   the process quantum (the §3.4 fairness/locality trade-off).
 //!
@@ -16,9 +12,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nosv::prelude::*;
 use nosv_shmem::{SegmentConfig, ShmSegment};
-use nosv_sync::{Acquired, DtLock, TicketLock};
+use nosv_sync::{Acquired, DtLock};
 
 /// Times `op` over enough iterations for a stable per-op estimate and
 /// prints nanoseconds per operation.
@@ -59,17 +54,12 @@ fn bench_locks() {
         Acquired::Served(_) => unreachable!(),
     });
 
-    let ticket = TicketLock::new(0u64);
-    report("ticket_uncontended", || {
-        *ticket.lock() += 1;
-    });
-
     let mutex = std::sync::Mutex::new(0u64);
     report("std_mutex_uncontended", || {
         *mutex.lock().unwrap() += 1;
     });
 
-    // Contended: 3 threads hammer a shared counter through each lock.
+    // Contended: 3 threads hammer a shared counter through the DtLock.
     report_threaded("dtlock_contended_3t", 200_000, |iters| {
         let lock: Arc<DtLock<u64, u64>> = Arc::new(DtLock::new(0, 8));
         let start = Instant::now();
@@ -82,21 +72,6 @@ fn bench_locks() {
                             Acquired::Holder(mut g) => *g += 1,
                             Acquired::Served(_) => {}
                         }
-                    }
-                });
-            }
-        });
-        start.elapsed()
-    });
-    report_threaded("ticket_contended_3t", 200_000, |iters| {
-        let lock = Arc::new(TicketLock::new(0u64));
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let lock = Arc::clone(&lock);
-                s.spawn(move || {
-                    for _ in 0..iters {
-                        *lock.lock() += 1;
                     }
                 });
             }
@@ -121,31 +96,6 @@ fn bench_shmem_alloc() {
             std::hint::black_box(&v);
         });
     }
-    // Cross-"process" free: allocated on cpu 0 / freed through another
-    // mapping on cpu 3 — the property ordinary allocators lack.
-    let seg2 = seg.clone();
-    report("slab_cross_process_free", || {
-        let off = seg.alloc(256, 0).expect("space");
-        seg2.free(off, 3);
-    });
-}
-
-fn bench_task_lifecycle() {
-    println!("\n-- task_lifecycle: nosv_create..nosv_destroy --");
-    let rt = Runtime::builder().cpus(2).build().expect("valid");
-    let app = rt.attach("bench").expect("attach");
-    report("create_submit_run_destroy", || {
-        let t = app.create_task(|_| {});
-        t.submit().expect("fresh submit");
-        t.wait().unwrap();
-        t.destroy();
-    });
-    report("create_destroy_only", || {
-        let t = app.create_task(|_| {});
-        t.destroy();
-    });
-    drop(app);
-    rt.shutdown();
 }
 
 fn bench_quantum_ablation() {
@@ -197,6 +147,5 @@ fn main() {
     println!("== microbenchmarks ==");
     bench_locks();
     bench_shmem_alloc();
-    bench_task_lifecycle();
     bench_quantum_ablation();
 }

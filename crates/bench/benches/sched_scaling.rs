@@ -1,9 +1,10 @@
 //! Scheduling throughput vs core count: does adding CPUs add capacity?
 //!
 //! The centralized delegation-lock scheduler *inverted* with scale: the
-//! committed `BENCH_sched.json` record shows 1 CPU × 1 producer at 1.21M
-//! tasks/s collapsing to 445k at 8 CPUs — every pick funnelled through
-//! one lock hold, every submission woke another contender. This bench
+//! throughput record taken before the fixes below showed 1 CPU × 1
+//! producer at 1.21M tasks/s collapsing to 445k at 8 CPUs — every pick
+//! funnelled through one lock hold, every submission woke another
+//! contender. This bench
 //! pins the fixes (idle-CPU direct dispatch + hungry-gated wakes +
 //! per-NUMA sharded scheduling cores, then per-producer ring lanes +
 //! batch submission + the sticky standby election) to numbers:
@@ -42,9 +43,10 @@ use std::time::{Duration, Instant};
 
 use nosv::prelude::*;
 
-/// The 8-CPU single-producer tasks/s of the committed pre-fix record
-/// (`BENCH_sched.json`, cpus=8 procs=1 ring column) this bench's 2x bar
-/// is anchored to.
+/// The 8-CPU single-producer tasks/s this bench's 2x bar is anchored
+/// to: 444 688 tasks/s, the 8-CPU × 1-producer figure of the throughput
+/// record taken before direct dispatch and sharding landed (the same
+/// sliding-window harness as `Mode::Single`).
 const PRE_FIX_8CPU_RECORD: f64 = 444_688.0;
 
 /// The lane/batch PR's headline bar: 8-CPU many-producer batched
@@ -122,8 +124,8 @@ fn throughput(cfg: &Config, budget: Duration) -> (f64, RuntimeStats) {
             let mode = cfg.mode;
             std::thread::spawn(move || match mode {
                 Mode::Single => {
-                    // Sliding submission window (same harness as
-                    // sched_throughput, so the records are comparable).
+                    // Sliding submission window (the harness the
+                    // pre-fix record was taken with, so they compare).
                     const WINDOW: usize = 64;
                     let mut handles = VecDeque::with_capacity(WINDOW);
                     while !stop.load(Ordering::Relaxed) {

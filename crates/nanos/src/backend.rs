@@ -39,13 +39,6 @@ impl Backend {
             kind: BackendKind::Nosv { app: Arc::new(app) },
         }
     }
-
-    /// Delegate scheduling to a shared nOS-V process context.
-    pub fn nosv_shared(app: Arc<ProcessContext>) -> Backend {
-        Backend {
-            kind: BackendKind::Nosv { app },
-        }
-    }
 }
 
 /// A ready-to-run job dispatched to a backend.

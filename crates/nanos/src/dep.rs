@@ -31,13 +31,6 @@ pub enum AccessMode {
     InOut,
 }
 
-impl AccessMode {
-    /// Whether this access writes.
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessMode::Out | AccessMode::InOut)
-    }
-}
-
 /// Per-interval access history.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct IntervalState {

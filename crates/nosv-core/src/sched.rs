@@ -238,21 +238,6 @@ impl SchedCore {
         self.procs[slot].app_priority = priority;
     }
 
-    /// Whether `slot` is registered.
-    pub fn proc_active(&self, slot: usize) -> bool {
-        self.procs[slot].active
-    }
-
-    /// PID registered in `slot` (0 when inactive).
-    pub fn proc_pid(&self, slot: usize) -> u64 {
-        self.procs[slot].pid
-    }
-
-    /// Number of process slots.
-    pub fn max_procs(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Queued (routed, not yet picked) tasks of `slot`, across **all**
     /// queues — its process queue and any core/NUMA queues its placed
     /// tasks were routed to. This is the count a detach must see at zero.
@@ -264,11 +249,6 @@ impl SchedCore {
     /// yet).
     pub fn core_pid(&self, cpu: usize) -> u64 {
         self.quanta[cpu].current_pid
-    }
-
-    /// The quantum accounting state of a CPU.
-    pub fn core_quantum(&self, cpu: usize) -> CoreQuantum {
-        self.quanta[cpu]
     }
 
     /// Routes a ready task to the queue its affinity designates and

@@ -127,14 +127,6 @@ impl ShardMap {
         let shards = self.shards;
         (1..shards).map(move |i| (home + i) % shards)
     }
-
-    /// Whether `queue_shard` owns queues a CPU of shard `cpu_shard` may
-    /// pop *locally* (its own shard) — everything else requires a
-    /// cross-shard steal.
-    #[inline]
-    pub fn is_local(&self, cpu_shard: usize, queue_shard: usize) -> bool {
-        cpu_shard == queue_shard
-    }
 }
 
 /// Resolves a user-facing shard-count knob: `0` means "one shard per NUMA

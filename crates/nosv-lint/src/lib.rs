@@ -27,6 +27,11 @@
 //!    `crash_point("…")` in the protocol sources must appear in at least
 //!    one chaos or model test fixture — a crash point nobody kills a
 //!    participant at is an untested claim about recoverability.
+//! 6. **Referenced public functions** ([`Rule::UnreferencedPubFn`],
+//!    cross-file, see [`lint_unreferenced_pub_fns`]): every `pub fn` /
+//!    `pub const fn` in the workspace sources must be named on some line
+//!    other than its own declaration — a public function nothing calls,
+//!    tests or documents is surface without a user.
 //!
 //! The scanner is deliberately line-oriented and conservative: it
 //! understands doc/line comments, `#[cfg(test)] mod` regions (exempt from
@@ -34,6 +39,7 @@
 //! call argument lists, and nothing else. That is enough for this
 //! workspace's house style, and it keeps the tool auditable.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -50,6 +56,8 @@ pub enum Rule {
     ImplicitOrdering,
     /// A named crash point no chaos/model test fixture exercises.
     UncoveredCrashPoint,
+    /// A public function no line other than its declaration names.
+    UnreferencedPubFn,
 }
 
 impl Rule {
@@ -61,6 +69,7 @@ impl Rule {
             Rule::MissingSafety => "missing-safety",
             Rule::ImplicitOrdering => "implicit-ordering",
             Rule::UncoveredCrashPoint => "uncovered-crash-point",
+            Rule::UnreferencedPubFn => "unreferenced-pub-fn",
         }
     }
 }
@@ -147,13 +156,8 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
 
 /// Lints every `.rs` file under `paths` (files or directories, recursed).
 pub fn lint_paths(paths: &[PathBuf]) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    for p in paths {
-        collect_rs_files(p, &mut files)?;
-    }
-    files.sort();
     let mut out = Vec::new();
-    for f in files {
+    for f in rs_files(paths)? {
         let src = std::fs::read_to_string(&f)?;
         out.extend(lint_source(&f, &src));
     }
@@ -195,22 +199,13 @@ pub fn lint_crash_point_coverage(
     src_roots: &[PathBuf],
     fixture_roots: &[PathBuf],
 ) -> std::io::Result<Vec<Violation>> {
-    let mut src_files = Vec::new();
-    for r in src_roots {
-        collect_rs_files(r, &mut src_files)?;
-    }
-    src_files.sort();
-    let mut fixture_files = Vec::new();
-    for r in fixture_roots {
-        collect_rs_files(r, &mut fixture_files)?;
-    }
     let mut corpus = String::new();
-    for f in &fixture_files {
+    for f in rs_files(fixture_roots)? {
         corpus.push_str(&std::fs::read_to_string(f)?);
         corpus.push('\n');
     }
     let mut out = Vec::new();
-    for f in src_files {
+    for f in rs_files(src_roots)? {
         let src = std::fs::read_to_string(&f)?;
         for (line, name) in crash_point_names(&src) {
             if !corpus.contains(&name) {
@@ -226,6 +221,69 @@ pub fn lint_crash_point_coverage(
         }
     }
     Ok(out)
+}
+
+/// Names declared by `pub fn` / `pub const fn` in one source string, as
+/// `(1-based line, name)` pairs.
+fn pub_fn_names(src: &str) -> Vec<(usize, String)> {
+    let names = src.lines().enumerate().filter_map(|(i, line)| {
+        let t = line.trim_start();
+        let rest = t
+            .strip_prefix("pub fn ")
+            .or_else(|| t.strip_prefix("pub const fn "))?;
+        let len = rest.bytes().take_while(|&b| is_ident_char(b)).count();
+        (len > 0).then(|| (i + 1, rest[..len].to_string()))
+    });
+    names.collect()
+}
+
+/// Cross-file rule [`Rule::UnreferencedPubFn`]: every `pub fn` /
+/// `pub const fn` declared under `def_roots` must appear as a whole word
+/// on at least one line of a `.rs` file under `ref_roots` that is not a
+/// declaration line. Like the crash-point rule the match is textual: a
+/// call, an import, a test or a doc link all count, so the rule catches
+/// only functions nothing at all names.
+pub fn lint_unreferenced_pub_fns(
+    def_roots: &[PathBuf],
+    ref_roots: &[PathBuf],
+) -> std::io::Result<Vec<Violation>> {
+    let mut defs = Vec::new();
+    for f in rs_files(def_roots)? {
+        for (line, name) in pub_fn_names(&std::fs::read_to_string(&f)?) {
+            defs.push((f.clone(), line, name));
+        }
+    }
+    let sites: HashSet<(&Path, usize)> = defs.iter().map(|(f, l, _)| (f.as_path(), *l)).collect();
+    let mut unnamed: HashSet<&str> = defs.iter().map(|(_, _, n)| n.as_str()).collect();
+    for f in rs_files(ref_roots)? {
+        for (i, line) in std::fs::read_to_string(&f)?.lines().enumerate() {
+            if !sites.contains(&(f.as_path(), i + 1)) {
+                for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                    unnamed.remove(word);
+                }
+            }
+        }
+    }
+    Ok(defs
+        .iter()
+        .filter(|(_, _, name)| unnamed.contains(name.as_str()))
+        .map(|(file, line, name)| Violation {
+            file: file.clone(),
+            line: *line,
+            rule: Rule::UnreferencedPubFn,
+            message: format!("public function `{name}` is named nowhere but its declaration"),
+        })
+        .collect())
+}
+
+/// Every `.rs` file under `roots` (files or directories, recursed), sorted.
+fn rs_files(roots: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for r in roots {
+        collect_rs_files(r, &mut files)?;
+    }
+    files.sort();
+    Ok(files)
 }
 
 fn collect_rs_files(p: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

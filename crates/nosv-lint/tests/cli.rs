@@ -88,9 +88,27 @@ fn fully_covered_crash_points_pass() {
     assert!(out.status.success(), "{}", stdout(&out));
 }
 
-/// Default mode runs the per-file rules *and* crash-point coverage over
-/// the real tree: every `crash_point("…")` in the protocol and runtime
-/// sources must be exercised by the chaos kill matrix or a model suite.
+#[test]
+fn unreferenced_pub_fn_fails() {
+    let dir = fixture("pub_fns_bad");
+    let out = run_lint(&[Path::new("pub-fns"), &dir, Path::new("--refs"), &dir]);
+    assert!(!out.status.success());
+    let text = stdout(&out);
+    assert_eq!(text.matches("[unreferenced-pub-fn]").count(), 1, "{text}");
+    assert!(text.contains("`fixture_orphan`"), "{text}");
+}
+
+#[test]
+fn referenced_pub_fns_pass() {
+    let dir = fixture("pub_fns_clean");
+    let out = run_lint(&[Path::new("pub-fns"), &dir, Path::new("--refs"), &dir]);
+    assert!(out.status.success(), "{}", stdout(&out));
+}
+
+/// Default mode runs the per-file rules, crash-point coverage and the
+/// public-function rule over the real tree: every `crash_point("…")` in
+/// the protocol and runtime sources must be exercised by the chaos kill
+/// matrix or a model suite, and every `pub fn` must have a user.
 #[test]
 fn committed_tree_is_clean() {
     let out = run_lint(&[]);

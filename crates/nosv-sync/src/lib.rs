@@ -14,7 +14,6 @@
 //! The crate also provides the building blocks the rest of the workspace
 //! reuses:
 //!
-//! * [`TicketLock`] — a classic FIFO ticket spinlock (baseline for benches).
 //! * [`RawSpinMutex`] — a plain-old-data spinlock suitable for placement
 //!   inside a shared-memory segment (no host pointers, fixed layout).
 //! * [`IdleGate`] — an event-counted gate for idle threads: two words over
@@ -47,7 +46,6 @@ mod mutex;
 mod padded;
 mod raw;
 mod splitmix;
-mod ticket;
 
 pub use backoff::Backoff;
 pub use cpu_gates::{CpuGateBlock, CpuGates, GATE_MAX_CPUS};
@@ -57,4 +55,3 @@ pub use mutex::{Condvar, Mutex, MutexGuard};
 pub use padded::Padded;
 pub use raw::RawSpinMutex;
 pub use splitmix::SplitMix64;
-pub use ticket::{TicketLock, TicketLockGuard};

@@ -21,7 +21,7 @@
 //!   `nosv_create`), submits them ([`TaskHandle::submit`] ≈ `nosv_submit`),
 //!   may pause from inside a task body ([`pause`] ≈ `nosv_pause`) and
 //!   destroys them ([`TaskHandle::destroy`] ≈ `nosv_destroy`).
-//! * The [shared scheduler](SchedulerSnapshot) is centralized behind a
+//! * The shared scheduler is centralized behind a
 //!   [`nosv_sync::DtLock`]: whichever worker wins the lock serves ready
 //!   tasks to every waiting CPU with a node-wide view. The policy
 //!   (implemented in [`policy`] and shared with the discrete-event
@@ -101,7 +101,6 @@ pub use obs::{
 };
 pub use policy::{QuantumPolicy, SchedPolicy};
 pub use runtime::{ProcessContext, Runtime};
-pub use scheduler::SchedulerSnapshot;
 pub use stats::RuntimeStats;
 pub use task::{
     Affinity, BatchHandle, TaskBatch, TaskBuilder, TaskCtx, TaskHandle, TaskId, TaskState,

@@ -15,7 +15,7 @@ use crate::config::NosvConfig;
 use crate::error::NosvError;
 use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind, TraceSink, NO_CPU};
 use crate::policy::SchedPolicy;
-use crate::scheduler::{producer_tag, BatchSubmit, GuestMeta, Scheduler, SchedulerSnapshot};
+use crate::scheduler::{producer_tag, BatchSubmit, GuestMeta, Scheduler};
 use crate::stats::{Counters, RuntimeStats};
 use crate::task::Affinity;
 use crate::task::{
@@ -671,23 +671,10 @@ impl Runtime {
         )
     }
 
-    /// Snapshot of the shared scheduler's queues and per-core process
-    /// assignment. Taken under the scheduler's delegation lock, so it is
-    /// internally consistent — which also means a call contends with
-    /// every worker's task fetch; avoid calling it in a tight loop.
-    pub fn scheduler_snapshot(&self) -> SchedulerSnapshot {
-        self.inner.sched.snapshot()
-    }
-
     /// Nanoseconds since the runtime started (the clock
     /// [`crate::ObsEvent`]s use).
     pub fn now_ns(&self) -> u64 {
         self.inner.now_ns()
-    }
-
-    /// Whether a [`crate::TraceSink`] is installed (events are recorded).
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.obs.enabled()
     }
 
     /// Registers (or replaces) the guest-task kernel named `id`.

@@ -78,7 +78,7 @@ use nosv_shmem::{ClaimTable, LaneRing, ShmSegment, Shoff, MAX_PROCS};
 // protocol crates' do, so the composition model suite (`compose`) can
 // interleave them; in a normal build these are the `std` types.
 use nosv_sync::hint::{AtomicU64, Ordering};
-use nosv_sync::{CpuGateBlock, CpuGates, DtGuard, DtLock, IdleGate, Padded};
+use nosv_sync::{CpuGateBlock, CpuGates, DtLock, IdleGate, Padded};
 
 use crate::config::NosvConfig;
 use crate::error::NosvError;
@@ -375,20 +375,6 @@ pub(crate) struct BatchSubmit {
     pub locked: u64,
 }
 
-/// Observability snapshot of the scheduler (for tests and tools). Taken
-/// under **all** shard locks (acquired in ascending order), so internally
-/// consistent across shards.
-#[derive(Debug, Clone)]
-pub struct SchedulerSnapshot {
-    /// Ready tasks across all shards' queues (submission rings included).
-    pub total_ready: u64,
-    /// `(pid, ready-task count)` for each attached process, counting its
-    /// queues and not-yet-drained submission rings in every shard.
-    pub per_process: Vec<(u64, u64)>,
-    /// Current process per core (`0` = none yet).
-    pub per_core_pid: Vec<u64>,
-}
-
 impl Scheduler {
     pub(crate) fn new(
         seg: ShmSegment,
@@ -450,7 +436,7 @@ impl Scheduler {
         }
     }
 
-    /// Number of scheduler shards (tests, snapshots).
+    /// Number of scheduler shards.
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -531,36 +517,6 @@ impl Scheduler {
             self.wake.gates.wait(cpu, key);
         }
         self.disarm_idle(cpu)
-    }
-
-    /// Snapshot for observability. Acquires every shard lock in ascending
-    /// order (the only multi-lock site), so the view is consistent across
-    /// shards.
-    pub(crate) fn snapshot(&self) -> SchedulerSnapshot {
-        let guards: Vec<DtGuard<'_, SchedCore, ReadyTask>> =
-            self.shards.iter().map(|l| l.lock()).collect();
-        let root = self.root();
-        let total_ready = (0..self.shards.len())
-            .map(|s| root.shard_hot[s].ready.load(Ordering::Relaxed))
-            .sum();
-        let per_process = (0..guards[0].max_procs())
-            .filter(|&slot| guards[0].proc_active(slot))
-            .map(|slot| {
-                let p = &root.procs[slot];
-                let queued: u64 = (0..self.shards.len())
-                    .map(|s| p.queues[s].len() + p.rings[s].len())
-                    .sum();
-                (guards[0].proc_pid(slot), queued)
-            })
-            .collect();
-        let per_core_pid = (0..self.wake.cpus)
-            .map(|c| guards[self.map.shard_of_cpu(c)].core_pid(c))
-            .collect();
-        SchedulerSnapshot {
-            total_ready,
-            per_process,
-            per_core_pid,
-        }
     }
 
     /// Asserts every shard's readiness bitmaps agree with a naive recount
@@ -691,21 +647,5 @@ mod testutil {
 
     pub(super) fn id_of(seg: &ShmSegment, t: ReadyTask) -> u64 {
         unsafe { seg.sref(t) }.id.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::testutil::*;
-
-    #[test]
-    fn snapshot_reports_queues() {
-        let (seg, sched) = setup(2, 0, 1_000_000);
-        sched.register_proc(0, 10);
-        sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None));
-        sched.submit(mk_task(&seg, 2, 0, 10, 0, Affinity::None));
-        let snap = sched.snapshot();
-        assert_eq!(snap.total_ready, 2);
-        assert_eq!(snap.per_process, vec![(10, 2)]);
     }
 }

@@ -441,8 +441,8 @@ mod tests {
         );
         // The task is ready (counted) but still in the ring, not a queue.
         assert!(sched.has_ready());
-        let snap = sched.snapshot();
-        assert_eq!(snap.per_process, vec![(10, 1)], "ring contents count");
+        let p = &sched.root().procs[0];
+        assert_eq!((p.rings[0].len(), p.queues[0].len()), (1, 0));
         // The server drains the ring and picks the task in one hold.
         let t = sched.get_task(0, 0, &c, &obs()).unwrap();
         assert_eq!(id_of(&seg, t), 1);

@@ -89,6 +89,42 @@ fn attach_after_shutdown_is_an_error() {
 }
 
 #[test]
+fn a_full_registry_refuses_attach_until_a_slot_frees() {
+    // Every attach takes one of the segment's MAX_PROCS registry slots.
+    // Once all are taken the next attach is refused, and a slot freed by
+    // an explicit detach or by dropping a context is reusable at once.
+    let rt = Runtime::builder().cpus(1).build().expect("valid");
+    let mut apps: Vec<ProcessContext> = (0..nosv_shmem::MAX_PROCS)
+        .map(|i| rt.attach(&format!("p{i}")).expect("free slot"))
+        .collect();
+    assert_eq!(
+        rt.attach("one-too-many").err(),
+        Some(NosvError::TooManyProcesses)
+    );
+
+    let run_one = |app: &ProcessContext| {
+        let t = app.spawn(|_| {});
+        t.wait().unwrap();
+        t.destroy();
+    };
+    let detached = apps.pop().expect("registry is full");
+    detached.detach().expect("an idle process detaches");
+    let app = rt.attach("after-detach").expect("detach frees a slot");
+    run_one(&app);
+    assert_eq!(
+        rt.attach("one-too-many").err(),
+        Some(NosvError::TooManyProcesses)
+    );
+
+    drop(app);
+    let app = rt.attach("after-drop").expect("drop frees a slot");
+    run_one(&app);
+
+    drop((app, detached, apps));
+    rt.shutdown();
+}
+
+#[test]
 fn submit_racing_shutdown_is_an_error_not_a_hang() {
     // A task created but submitted only after every worker exited would
     // hang forever if submission succeeded; it must fail fast instead.

@@ -15,18 +15,6 @@ pub struct AppSimStats {
     pub homed_tasks: u64,
 }
 
-impl AppSimStats {
-    /// Fraction of homed tasks that executed remotely (0 when no task had
-    /// a home socket).
-    pub fn remote_fraction(&self) -> f64 {
-        if self.homed_tasks == 0 {
-            0.0
-        } else {
-            self.remote_tasks as f64 / self.homed_tasks as f64
-        }
-    }
-}
-
 /// Node-level results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
